@@ -997,28 +997,17 @@ ColumnQueryResponse ClusterEngine::Correlated(
       *pool_, topo->shards, TailCtx(), options_.max_failover_attempts,
       options_.shard_deadline, cancel,
       [key_values, numeric_values, k](
-          const ingest::LiveEngine& engine, const CancelToken* /*token*/,
+          const ingest::LiveEngine& engine, const CancelToken* token,
           uint32_t shard) -> Result<ColumnAnswer> {
         std::shared_ptr<const ingest::Generation> gen = engine.Acquire();
-        const CorrelatedJoinSearch* corr = gen->base().correlated_join();
-        if (corr == nullptr) {
-          return Status::FailedPrecondition(
-              "correlated join index not built on shard " +
-              std::to_string(shard));
-        }
+        ingest::MergeStats ms;
         LAKE_ASSIGN_OR_RETURN(
-            std::vector<CorrelatedJoinSearch::CorrelatedResult> results,
-            corr->Search(key_values, numeric_values, k));
+            std::vector<ColumnResult> results,
+            ingest::MergedCorrelated(*gen, key_values, numeric_values, k,
+                                     token, &ms));
         ColumnAnswer a;
-        a.hits.reserve(results.size());
-        for (const CorrelatedJoinSearch::CorrelatedResult& r : results) {
-          if (gen->delta().tombstones.count(r.table_id) != 0) continue;
-          Result<std::string> name = gen->TableName(r.table_id);
-          if (!name.ok()) continue;
-          a.hits.push_back(ColumnHit{std::move(name).value(),
-                                     r.numeric_column, r.score,
-                                     "correlated join", shard, r.table_id});
-        }
+        a.hits = ToColumnHits(*gen, shard, results);
+        a.delta_hits = ms.delta_results;
         return a;
       });
   RecordScatterMetrics(

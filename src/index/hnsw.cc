@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <sstream>
 #include <unordered_set>
 
-#include "store/snapshot.h"
 #include "util/serialize.h"
 #include "util/string_util.h"
 
@@ -287,28 +285,6 @@ Status HnswIndex::Load(std::istream* in) {
   }
   *this = std::move(fresh);
   return Status::OK();
-}
-
-Status HnswIndex::SaveToFile(const std::string& path) const {
-  store::SnapshotWriter snapshot;
-  snapshot.AddSection("meta", "hnsw");
-  std::ostringstream payload;
-  LAKE_RETURN_IF_ERROR(Save(&payload));
-  snapshot.AddSection("index", std::move(payload).str());
-  return snapshot.WriteToFile(path);
-}
-
-Status HnswIndex::LoadFromFile(const std::string& path) {
-  LAKE_ASSIGN_OR_RETURN(store::SnapshotReader reader,
-                        store::SnapshotReader::OpenFile(path));
-  LAKE_ASSIGN_OR_RETURN(std::string kind, reader.ReadSection("meta"));
-  if (kind != "hnsw") {
-    return Status::IoError("snapshot holds a \"" + kind +
-                           "\" index, not an HNSW graph");
-  }
-  LAKE_ASSIGN_OR_RETURN(std::string payload, reader.ReadSection("index"));
-  std::istringstream in(payload);
-  return Load(&in);
 }
 
 }  // namespace lake

@@ -68,16 +68,6 @@ class HnswIndex {
   /// Restores an index persisted with Save, replacing this instance.
   Status Load(std::istream* in);
 
-  /// Persists the graph to `path` inside a checksummed snapshot envelope
-  /// (sections "meta" = kind tag, "index" = Save payload), written
-  /// atomically. A reader detects any single corrupted byte instead of
-  /// deserializing garbage.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Restores an index written by SaveToFile; CRC-verifies both sections
-  /// before touching this instance, so a failed load leaves it unchanged.
-  Status LoadFromFile(const std::string& path);
-
  private:
   struct Node {
     uint64_t id;

@@ -1,10 +1,8 @@
 #include "index/josie.h"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_map>
 
-#include "store/snapshot.h"
 #include "text/normalizer.h"
 #include "util/serialize.h"
 #include "util/top_k.h"
@@ -271,28 +269,6 @@ Status JosieIndex::Load(std::istream* in) {
   fresh.built_ = true;
   *this = std::move(fresh);
   return Status::OK();
-}
-
-Status JosieIndex::SaveToFile(const std::string& path) const {
-  store::SnapshotWriter snapshot;
-  snapshot.AddSection("meta", "josie");
-  std::ostringstream payload;
-  LAKE_RETURN_IF_ERROR(Save(&payload));
-  snapshot.AddSection("index", std::move(payload).str());
-  return snapshot.WriteToFile(path);
-}
-
-Status JosieIndex::LoadFromFile(const std::string& path) {
-  LAKE_ASSIGN_OR_RETURN(store::SnapshotReader reader,
-                        store::SnapshotReader::OpenFile(path));
-  LAKE_ASSIGN_OR_RETURN(std::string kind, reader.ReadSection("meta"));
-  if (kind != "josie") {
-    return Status::IoError("snapshot holds a \"" + kind +
-                           "\" index, not a JOSIE index");
-  }
-  LAKE_ASSIGN_OR_RETURN(std::string payload, reader.ReadSection("index"));
-  std::istringstream in(payload);
-  return Load(&in);
 }
 
 }  // namespace lake

@@ -71,15 +71,6 @@ class JosieIndex {
   /// state; the loaded index is built and immediately queryable.
   Status Load(std::istream* in);
 
-  /// Persists a built index to `path` inside a checksummed snapshot
-  /// envelope (sections "meta" = kind tag, "index" = Save payload),
-  /// written atomically.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Restores an index written by SaveToFile; CRC-verifies both sections
-  /// before touching this instance, so a failed load leaves it unchanged.
-  Status LoadFromFile(const std::string& path);
-
   size_t num_sets() const { return sets_.size(); }
   bool built() const { return built_; }
   size_t vocabulary_size() const { return vocab_.size(); }

@@ -40,13 +40,21 @@ struct DeltaPart {
   }
 };
 
-/// One immutable published state of a live lake: an immutable base
-/// (catalog + fully-indexed DiscoveryEngine) plus the current DeltaPart.
-/// Readers Acquire() a generation from LiveEngine and query it without
-/// locks; the shared_ptrs keep every referenced structure alive until the
-/// last in-flight query drains, RCU-style.
+/// One immutable published state of a lake: an immutable base (catalog +
+/// fully-indexed DiscoveryEngine) plus the current DeltaPart. It is the one
+/// thing every query reads, whatever the serving mode: live readers
+/// Acquire() a generation from LiveEngine and query it without locks (the
+/// shared_ptrs keep every referenced structure alive until the last
+/// in-flight query drains, RCU-style); a frozen engine is served through
+/// Frozen(), a generation with no delta.
 class Generation {
  public:
+  /// A generation over a frozen engine: its catalog and the engine itself
+  /// as the base, an empty delta, number and version 0. Non-owning: the
+  /// engine and its catalog must outlive every holder of the result.
+  static std::shared_ptr<const Generation> Frozen(
+      const DiscoveryEngine& engine);
+
   /// Compaction generation (bumped by each base swap).
   uint64_t number() const { return number_; }
   /// Publish sequence (bumped by every delta publish AND every swap);
@@ -106,14 +114,16 @@ struct MergeStats {
   size_t tombstone_filtered = 0;
 };
 
-/// Base+delta merged top-k queries over one acquired generation. Base
-/// results are filtered against the tombstone set, delta results are
-/// remapped into the lake-visible id range, and the two ranked lists are
-/// merged by score via the shared N-way merge in cluster/topk_merge.h
-/// (ties prefer base — its corpus statistics are the better-calibrated
-/// side). Methods the delta engine does not build (the heavyweight long
-/// tail: PEXESO, SANTOS, D3L, ...) serve base-only until the next
-/// compaction folds the delta in.
+/// Base+delta merged top-k queries over one acquired generation — the read
+/// path of every query kind in every serving mode. The base is asked for k
+/// plus the tombstone count, so filtering out removed tables still fills
+/// k; delta results are remapped into the lake-visible id range, and the
+/// two ranked lists are merged by score via the shared N-way merge in
+/// cluster/topk_merge.h (ties prefer base — its corpus statistics are the
+/// better-calibrated side). Methods the delta engine does not build (the
+/// heavyweight long tail: PEXESO, correlated, SANTOS, D3L, ...) serve
+/// base-only until the next compaction folds the delta in. Over a
+/// generation without a delta the answer is the base engine's own.
 ///
 /// `corpus` (optional) scores both sides against external BM25 corpus
 /// statistics — the cluster's distributed-IDF protocol; null keeps each
@@ -143,6 +153,12 @@ Result<std::vector<TableResult>> MergedUnionable(
     const Generation& gen, const Table& query, UnionMethod method, size_t k,
     int64_t exclude = -1, const CancelToken* cancel = nullptr,
     MergeStats* stats = nullptr);
+
+/// See DiscoveryEngine::Correlated.
+Result<std::vector<ColumnResult>> MergedCorrelated(
+    const Generation& gen, const std::vector<std::string>& key_values,
+    const std::vector<double>& numeric_values, size_t k,
+    const CancelToken* cancel = nullptr, MergeStats* stats = nullptr);
 
 }  // namespace lake::ingest
 

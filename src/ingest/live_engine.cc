@@ -66,6 +66,17 @@ uint32_t TableContentDigest(const Table& table) {
 // Generation: id resolution
 // ---------------------------------------------------------------------------
 
+std::shared_ptr<const Generation> Generation::Frozen(
+    const DiscoveryEngine& engine) {
+  // Aliasing constructors over an empty owner: pointers that never delete.
+  return std::shared_ptr<const Generation>(new Generation(
+      /*number=*/0, /*version=*/0,
+      std::shared_ptr<const DataLakeCatalog>(std::shared_ptr<void>(),
+                                             &engine.catalog()),
+      std::shared_ptr<const DiscoveryEngine>(std::shared_ptr<void>(), &engine),
+      std::make_shared<const DeltaPart>()));
+}
+
 Result<std::string> Generation::TableName(TableId id) const {
   LAKE_ASSIGN_OR_RETURN(const Table* table, FindTableById(id));
   return table->name();
@@ -108,43 +119,45 @@ Result<TableId> Generation::FindTable(const std::string& name) const {
 
 namespace {
 
-/// Drops tombstoned base hits and counts survivors into `stats`.
-std::vector<TableResult> FilterBaseTables(std::vector<TableResult> results,
-                                          const DeltaPart& delta,
-                                          MergeStats* stats) {
-  std::vector<TableResult> out;
-  out.reserve(results.size());
-  for (TableResult& r : results) {
-    if (delta.tombstones.count(r.table_id)) {
-      if (stats != nullptr) ++stats->tombstone_filtered;
-      continue;
-    }
-    out.push_back(std::move(r));
-  }
-  if (stats != nullptr) stats->base_results += out.size();
-  return out;
-}
+TableId& TableIdOf(TableResult& r) { return r.table_id; }
+TableId& TableIdOf(ColumnResult& r) { return r.column.table_id; }
 
-std::vector<ColumnResult> FilterBaseColumns(std::vector<ColumnResult> results,
-                                            const DeltaPart& delta,
-                                            MergeStats* stats) {
-  std::vector<ColumnResult> out;
-  out.reserve(results.size());
-  for (ColumnResult& r : results) {
-    if (delta.tombstones.count(r.column.table_id)) {
-      if (stats != nullptr) ++stats->tombstone_filtered;
-      continue;
-    }
-    out.push_back(std::move(r));
+/// The base+delta merge every Merged* query shares. `search(engine, k,
+/// delta_side)` runs the query on one side. The base is asked for k plus
+/// the tombstone count (tombstoned hits are dropped after the fact, so ask
+/// for enough extras to still fill k); delta ids are shifted into the
+/// lake-visible range. A FailedPrecondition from the delta means the
+/// memtable does not build the method: the answer is base-only until
+/// compaction. Any other delta error fails the query.
+template <typename R, typename Search>
+Result<std::vector<R>> MergeSides(const Generation& gen, size_t k,
+                                  MergeStats* stats, Search search) {
+  const DeltaPart& delta_part = gen.delta();
+  LAKE_ASSIGN_OR_RETURN(
+      std::vector<R> base,
+      search(gen.base(), k + delta_part.tombstones.size(), false));
+  const auto removed = std::remove_if(base.begin(), base.end(), [&](R& r) {
+    return delta_part.tombstones.count(TableIdOf(r)) != 0;
+  });
+  if (stats != nullptr) {
+    stats->tombstone_filtered += static_cast<size_t>(base.end() - removed);
   }
-  if (stats != nullptr) stats->base_results += out.size();
-  return out;
-}
+  base.erase(removed, base.end());
+  if (stats != nullptr) stats->base_results += base.size();
 
-/// Over-fetch factor for the base side: tombstoned hits are filtered
-/// post-hoc, so ask for enough extras to still fill k.
-size_t BaseK(const Generation& gen, size_t k) {
-  return k + gen.delta().tombstones.size();
+  std::vector<R> delta;
+  if (gen.has_delta()) {
+    Result<std::vector<R>> found = search(*delta_part.engine, k, true);
+    if (found.ok()) {
+      delta = std::move(found).value();
+      const TableId offset = static_cast<TableId>(gen.base_table_count());
+      for (R& r : delta) TableIdOf(r) += offset;
+      if (stats != nullptr) stats->delta_results += delta.size();
+    } else if (found.status().code() != StatusCode::kFailedPrecondition) {
+      return found.status();
+    }
+  }
+  return MergeRankedTopK(std::move(base), std::move(delta), k);
 }
 
 }  // namespace
@@ -153,16 +166,14 @@ std::vector<TableResult> MergedKeyword(const Generation& gen,
                                        const std::string& query, size_t k,
                                        MergeStats* stats,
                                        const Bm25Index::CorpusStats* corpus) {
-  std::vector<TableResult> base = FilterBaseTables(
-      gen.base().Keyword(query, BaseK(gen, k), corpus), gen.delta(), stats);
-  std::vector<TableResult> delta;
-  if (gen.has_delta()) {
-    delta = gen.delta().engine->Keyword(query, k, corpus);
-    const TableId offset = static_cast<TableId>(gen.base_table_count());
-    for (TableResult& r : delta) r.table_id += offset;
-    if (stats != nullptr) stats->delta_results += delta.size();
-  }
-  return MergeRankedTopK(std::move(base), std::move(delta), k);
+  // Keyword search cannot fail, so neither can the merge.
+  return MergeSides<TableResult>(
+             gen, k, stats,
+             [&](const DiscoveryEngine& engine, size_t side_k, bool)
+                 -> Result<std::vector<TableResult>> {
+               return engine.Keyword(query, side_k, corpus);
+             })
+      .value();
 }
 
 Bm25Index::CorpusStats GatherKeywordStats(const Generation& gen,
@@ -176,63 +187,40 @@ Result<std::vector<ColumnResult>> MergedJoinable(
     const Generation& gen, const std::vector<std::string>& query_values,
     JoinMethod method, size_t k, const CancelToken* cancel, MergeStats* stats,
     double error_budget, approx::ApproxQueryStats* approx_stats) {
-  LAKE_ASSIGN_OR_RETURN(
-      std::vector<ColumnResult> raw,
-      gen.base().Joinable(query_values, method, BaseK(gen, k), cancel,
-                          error_budget, approx_stats));
-  std::vector<ColumnResult> base =
-      FilterBaseColumns(std::move(raw), gen.delta(), stats);
-
-  std::vector<ColumnResult> delta;
-  if (gen.has_delta()) {
-    Result<std::vector<ColumnResult>> delta_result =
-        gen.delta().engine->Joinable(query_values, method, k, cancel,
-                                     error_budget, approx_stats);
-    if (delta_result.ok()) {
-      delta = std::move(delta_result).value();
-      const TableId offset = static_cast<TableId>(gen.base_table_count());
-      for (ColumnResult& r : delta) r.column.table_id += offset;
-      if (stats != nullptr) stats->delta_results += delta.size();
-    } else if (delta_result.status().code() !=
-               StatusCode::kFailedPrecondition) {
-      // FailedPrecondition means the memtable does not build this method
-      // (serve base-only until compaction); anything else is a real error.
-      return delta_result.status();
-    }
-  }
-  return MergeRankedTopK(std::move(base), std::move(delta), k);
+  return MergeSides<ColumnResult>(
+      gen, k, stats,
+      [&](const DiscoveryEngine& engine, size_t side_k, bool) {
+        return engine.Joinable(query_values, method, side_k, cancel,
+                               error_budget, approx_stats);
+      });
 }
 
 Result<std::vector<TableResult>> MergedUnionable(
     const Generation& gen, const Table& query, UnionMethod method, size_t k,
     int64_t exclude, const CancelToken* cancel, MergeStats* stats) {
+  // `exclude` is a lake-visible id; each side excludes only its own range.
   const int64_t base_count = static_cast<int64_t>(gen.base_table_count());
-  const int64_t base_exclude = exclude < base_count ? exclude : -1;
-  const int64_t delta_exclude =
-      exclude >= base_count ? exclude - base_count : -1;
+  return MergeSides<TableResult>(
+      gen, k, stats,
+      [&](const DiscoveryEngine& engine, size_t side_k, bool delta_side) {
+        int64_t side_exclude = -1;
+        if (!delta_side && exclude < base_count) side_exclude = exclude;
+        if (delta_side && exclude >= base_count) {
+          side_exclude = exclude - base_count;
+        }
+        return engine.Unionable(query, method, side_k, side_exclude, cancel);
+      });
+}
 
-  LAKE_ASSIGN_OR_RETURN(std::vector<TableResult> raw,
-                        gen.base().Unionable(query, method, BaseK(gen, k),
-                                             base_exclude, cancel));
-  std::vector<TableResult> base =
-      FilterBaseTables(std::move(raw), gen.delta(), stats);
-
-  std::vector<TableResult> delta;
-  if (gen.has_delta()) {
-    Result<std::vector<TableResult>> delta_result =
-        gen.delta().engine->Unionable(query, method, k, delta_exclude,
-                                      cancel);
-    if (delta_result.ok()) {
-      delta = std::move(delta_result).value();
-      const TableId offset = static_cast<TableId>(base_count);
-      for (TableResult& r : delta) r.table_id += offset;
-      if (stats != nullptr) stats->delta_results += delta.size();
-    } else if (delta_result.status().code() !=
-               StatusCode::kFailedPrecondition) {
-      return delta_result.status();
-    }
-  }
-  return MergeRankedTopK(std::move(base), std::move(delta), k);
+Result<std::vector<ColumnResult>> MergedCorrelated(
+    const Generation& gen, const std::vector<std::string>& key_values,
+    const std::vector<double>& numeric_values, size_t k,
+    const CancelToken* cancel, MergeStats* stats) {
+  return MergeSides<ColumnResult>(
+      gen, k, stats,
+      [&](const DiscoveryEngine& engine, size_t side_k, bool) {
+        return engine.Correlated(key_values, numeric_values, side_k, cancel);
+      });
 }
 
 // ---------------------------------------------------------------------------

@@ -105,8 +105,8 @@ class LiveEngine {
   // --- Read path --------------------------------------------------------
 
   /// Current generation; queries run against the acquired snapshot (see
-  /// MergedKeyword / MergedJoinable / MergedUnionable) and never block
-  /// ingestion or compaction.
+  /// MergedKeyword / MergedJoinable / MergedUnionable / MergedCorrelated)
+  /// and never block ingestion or compaction.
   std::shared_ptr<const Generation> Acquire() const {
     return current_.load(std::memory_order_acquire);
   }

@@ -1,5 +1,7 @@
 #include "search/discovery_engine.h"
 
+#include "util/string_util.h"
+
 namespace lake {
 
 DiscoveryEngine::DiscoveryEngine(const DataLakeCatalog* catalog,
@@ -216,6 +218,28 @@ Result<std::vector<ColumnResult>> DiscoveryEngine::Joinable(
                                   cancel);
   }
   return Status::InvalidArgument("unknown join method");
+}
+
+Result<std::vector<ColumnResult>> DiscoveryEngine::Correlated(
+    const std::vector<std::string>& key_values,
+    const std::vector<double>& numeric_values, size_t k,
+    const CancelToken* cancel) const {
+  if (cancel != nullptr) LAKE_RETURN_IF_ERROR(cancel->Check());
+  if (correlated_ == nullptr) {
+    return Status::FailedPrecondition("correlated index not built");
+  }
+  LAKE_ASSIGN_OR_RETURN(
+      std::vector<CorrelatedJoinSearch::CorrelatedResult> found,
+      correlated_->Search(key_values, numeric_values, k));
+  std::vector<ColumnResult> results;
+  results.reserve(found.size());
+  for (const CorrelatedJoinSearch::CorrelatedResult& r : found) {
+    results.push_back(ColumnResult{
+        ColumnRef{r.table_id, r.numeric_column}, r.score,
+        StrFormat("corr=%.3f containment=%.3f", r.est_correlation,
+                  r.est_containment)});
+  }
+  return results;
 }
 
 Result<std::vector<TableResult>> DiscoveryEngine::Unionable(

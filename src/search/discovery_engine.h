@@ -131,6 +131,17 @@ class DiscoveryEngine {
       const Table& query, UnionMethod method, size_t k, int64_t exclude = -1,
       const CancelToken* cancel = nullptr) const;
 
+  /// Joinable-and-correlated search: the top-k lake (key, numeric) column
+  /// pairs that join with `key_values` and whose numeric column correlates
+  /// with `numeric_values` after the join. Each result names the numeric
+  /// column, scores |correlation|, and carries the estimated correlation
+  /// and key containment in its `why`. `cancel` (optional) is checked at
+  /// dispatch.
+  Result<std::vector<ColumnResult>> Correlated(
+      const std::vector<std::string>& key_values,
+      const std::vector<double>& numeric_values, size_t k,
+      const CancelToken* cancel = nullptr) const;
+
   /// Cost-based joinable search (§3's "cost-based and distribution-aware
   /// access methods"): picks the strategy from simple statistics — exact
   /// scan while the lake is small (a scan beats any index below a few

@@ -173,7 +173,8 @@ AdmissionController::Options DeriveAdmission(
 }  // namespace
 
 QueryService::QueryService(const DiscoveryEngine* engine, Options options)
-    : engine_(engine),
+    : frozen_(engine != nullptr ? ingest::Generation::Frozen(*engine)
+                                : nullptr),
       options_(std::move(options)),
       cache_(options_.cache),
       admission_(
@@ -203,8 +204,6 @@ QueryService::QueryService(const DiscoveryEngine* engine, Options options)
           metrics_.GetGaugeFamily("serve.breaker.state", "modality")),
       cache_hits_(metrics_.GetCounter("serve.cache.hits")),
       cache_misses_(metrics_.GetCounter("serve.cache.misses")),
-      josie_postings_read_(
-          metrics_.GetCounter("engine.josie.postings_read")),
       approx_queries_(metrics_.GetCounter("approx.queries")),
       approx_estimates_(metrics_.GetCounter("approx.estimates")),
       approx_exact_fallbacks_(metrics_.GetCounter("approx.exact_fallbacks")),
@@ -341,10 +340,12 @@ bool QueryService::ApproxAvailable() const {
     // whether every shard carries the sample tier.
     return cluster_->options().engine.base_options.build_approx;
   }
-  if (live_ != nullptr) {
-    return live_->Acquire()->base().approx_join() != nullptr;
-  }
-  return engine_ != nullptr && engine_->approx_join() != nullptr;
+  return CurrentGeneration()->base().approx_join() != nullptr;
+}
+
+std::shared_ptr<const ingest::Generation> QueryService::CurrentGeneration()
+    const {
+  return live_ != nullptr ? live_->Acquire() : frozen_;
 }
 
 void QueryService::RecordApproxStats(const approx::ApproxQueryStats& stats) {
@@ -450,16 +451,6 @@ QueryResponse QueryService::Execute(QueryRequest request) {
   return submitted->response.get();
 }
 
-Result<std::vector<ColumnResult>> QueryService::JosieWithStats(
-    const QueryRequest& request, const CancelToken* cancel,
-    const DiscoveryEngine& engine) {
-  JosieIndex::QueryStats stats;
-  Result<std::vector<ColumnResult>> result =
-      engine.josie_join()->Search(request.values, request.k, &stats, cancel);
-  josie_postings_read_->Add(stats.posting_entries_read);
-  return result;
-}
-
 void QueryService::RecordMergeStats(const ingest::MergeStats& stats) {
   ingest_base_hits_->Add(stats.base_results);
   ingest_delta_hits_->Add(stats.delta_results);
@@ -545,8 +536,8 @@ std::optional<QueryService::Fallback> QueryService::FallbackFor(
   // The survey's accuracy/latency pairs: the expensive high-recall method
   // falls back to the cheap sketch/embedding-average alternative. In
   // cluster mode the shards were all built with the same options, so the
-  // build flags say what indexes exist; single-engine mode asks the
-  // engine directly.
+  // build flags say what indexes exist; otherwise the pinned generation's
+  // base engine is asked directly.
   bool has_tus = false;
   bool has_lsh_join = false;
   bool has_approx_join = false;
@@ -557,9 +548,10 @@ std::optional<QueryService::Fallback> QueryService::FallbackFor(
     has_lsh_join = base.build_lsh_join;
     has_approx_join = base.build_approx;
   } else {
-    has_tus = ctx.engine->tus() != nullptr;
-    has_lsh_join = ctx.engine->lsh_join() != nullptr;
-    has_approx_join = ctx.engine->approx_join() != nullptr;
+    const DiscoveryEngine& base = ctx.gen->base();
+    has_tus = base.tus() != nullptr;
+    has_lsh_join = base.lsh_join() != nullptr;
+    has_approx_join = base.approx_join() != nullptr;
   }
   if (request.kind == QueryKind::kUnion &&
       request.union_method == UnionMethod::kStarmie && has_tus) {
@@ -644,6 +636,7 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
                                  QueryResponse* response) {
   const auto exec_start = Clock::now();
   response->served_by = modality;
+  approx::ApproxQueryStats approx_stats;
 
   // Chaos-test fault site: a hung (kDelay) or erroring dependency for
   // exactly this (kind, method) modality.
@@ -653,96 +646,42 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
   } else if (ctx.cluster != nullptr) {
     ExecuteCluster(request, join_method, union_method, cancel, response);
   } else {
+    // One read path for every kind and both single-engine modes: the
+    // pinned generation's base+delta merge.
+    ingest::MergeStats merge;
+    auto take = [response](auto result, auto* out) {
+      if (result.ok()) {
+        *out = std::move(result).value();
+      } else {
+        response->status = result.status();
+      }
+    };
     switch (request.kind) {
       case QueryKind::kKeyword:
-        if (ctx.gen != nullptr) {
-          ingest::MergeStats merge;
-          response->tables = ingest::MergedKeyword(*ctx.gen, request.keyword,
-                                                   request.k, &merge);
-          RecordMergeStats(merge);
-        } else {
-          response->tables = ctx.engine->Keyword(request.keyword, request.k);
-        }
+        response->tables = ingest::MergedKeyword(*ctx.gen, request.keyword,
+                                                 request.k, &merge);
         break;
-      case QueryKind::kJoin: {
-        approx::ApproxQueryStats approx_stats;
-        approx::ApproxQueryStats* approx_out =
-            join_method == JoinMethod::kApprox ? &approx_stats : nullptr;
-        Result<std::vector<ColumnResult>> result = [&] {
-          if (ctx.gen != nullptr) {
-            ingest::MergeStats merge;
-            Result<std::vector<ColumnResult>> merged = ingest::MergedJoinable(
-                *ctx.gen, request.values, join_method, request.k, cancel,
-                &merge, request.error_budget, approx_out);
-            if (merged.ok()) RecordMergeStats(merge);
-            return merged;
-          }
-          return join_method == JoinMethod::kJosie &&
-                         ctx.engine->josie_join() != nullptr
-                     ? JosieWithStats(request, cancel, *ctx.engine)
-                     : ctx.engine->Joinable(request.values, join_method,
-                                            request.k, cancel,
-                                            request.error_budget, approx_out);
-        }();
-        if (result.ok()) {
-          response->columns = std::move(result).value();
-          if (approx_out != nullptr) RecordApproxStats(*approx_out);
-        } else {
-          response->status = result.status();
-        }
+      case QueryKind::kJoin:
+        take(ingest::MergedJoinable(
+                 *ctx.gen, request.values, join_method, request.k, cancel,
+                 &merge, request.error_budget,
+                 join_method == JoinMethod::kApprox ? &approx_stats : nullptr),
+             &response->columns);
         break;
-      }
-      case QueryKind::kUnion: {
-        Result<std::vector<TableResult>> result = [&] {
-          if (ctx.gen != nullptr) {
-            ingest::MergeStats merge;
-            Result<std::vector<TableResult>> merged = ingest::MergedUnionable(
-                *ctx.gen, *request.union_table, union_method, request.k,
-                request.exclude, cancel, &merge);
-            if (merged.ok()) RecordMergeStats(merge);
-            return merged;
-          }
-          return ctx.engine->Unionable(*request.union_table, union_method,
-                                       request.k, request.exclude, cancel);
-        }();
-        if (result.ok()) {
-          response->tables = std::move(result).value();
-        } else {
-          response->status = result.status();
-        }
+      case QueryKind::kUnion:
+        take(ingest::MergedUnionable(*ctx.gen, *request.union_table,
+                                     union_method, request.k, request.exclude,
+                                     cancel, &merge),
+             &response->tables);
         break;
-      }
-      case QueryKind::kCorrelated: {
-        // Correlated search has no delta memtable; it serves from the
-        // (possibly generation-pinned) base until compaction folds the
-        // delta in.
-        const CorrelatedJoinSearch* correlated = ctx.engine->correlated_join();
-        if (correlated == nullptr) {
-          response->status =
-              Status::FailedPrecondition("correlated index not built");
-          break;
-        }
-        Status check = cancel->Check();
-        if (!check.ok()) {
-          response->status = check;
-          break;
-        }
-        Result<std::vector<CorrelatedJoinSearch::CorrelatedResult>> result =
-            correlated->Search(request.values, request.numeric_values,
-                               request.k);
-        if (!result.ok()) {
-          response->status = result.status();
-          break;
-        }
-        for (const auto& r : result.value()) {
-          response->columns.push_back(ColumnResult{
-              ColumnRef{r.table_id, r.numeric_column}, r.score,
-              StrFormat("corr=%.3f containment=%.3f", r.est_correlation,
-                        r.est_containment)});
-        }
+      case QueryKind::kCorrelated:
+        take(ingest::MergedCorrelated(*ctx.gen, request.values,
+                                      request.numeric_values, request.k,
+                                      cancel, &merge),
+             &response->columns);
         break;
-      }
     }
+    if (response->status.ok()) RecordMergeStats(merge);
   }
 
   // An answer from the sampling tier is flagged so consumers know every
@@ -752,6 +691,7 @@ void QueryService::ExecuteEngine(const QueryRequest& request,
       join_method == JoinMethod::kApprox && response->status.ok()) {
     response->approx = true;
     approx_queries_->Add();
+    RecordApproxStats(approx_stats);
   }
 
   // Execution-only latency (excludes queue wait); its upper quantiles
@@ -882,12 +822,9 @@ QueryResponse QueryService::Run(
     // so any ApplyBatch or rebalance routes around stale entries.
     ctx.cluster = cluster_;
     version = cluster_->version();
-  } else if (live_ != nullptr) {
-    ctx.gen = live_->Acquire();
-    ctx.engine = &ctx.gen->base();
-    version = ctx.gen->version();
   } else {
-    ctx.engine = engine_;
+    ctx.gen = CurrentGeneration();
+    version = ctx.gen->version();
   }
 
   const bool use_cache = options_.enable_cache && !request.bypass_cache;

@@ -177,6 +177,9 @@ class QueryService {
     store::RecoveryManager* recovery = nullptr;
   };
 
+  /// Serves a frozen engine (not owned; it must outlive the service),
+  /// wrapped once in a delta-less ingest::Generation that every query
+  /// reads like a live one.
   QueryService(const DiscoveryEngine* engine, Options options);
 
   /// Serves a live (online-ingesting) engine instead of a frozen one:
@@ -295,14 +298,14 @@ class QueryService {
   const Options& options() const { return options_; }
 
  private:
-  /// Engine snapshot one query executes against. In live mode `gen` pins
-  /// the acquired generation (RCU: the swapped-out state stays alive until
-  /// this query drains) and `engine` points at its base; in frozen mode
-  /// `gen` is null and `engine` is the constructor's engine; in cluster
-  /// mode `cluster` is set and `engine`/`gen` stay null (the cluster pins
-  /// per-shard generations internally).
+  /// Engine snapshot one query executes against. Outside cluster mode
+  /// `gen` pins the generation every query kind reads through the
+  /// ingest::Merged* functions: the acquired live generation (RCU: the
+  /// swapped-out state stays alive until this query drains) or the frozen
+  /// engine's generation, which has no delta. In cluster mode `cluster` is
+  /// set and `gen` stays null (the cluster pins per-shard generations
+  /// internally).
   struct ExecContext {
-    const DiscoveryEngine* engine = nullptr;
     std::shared_ptr<const ingest::Generation> gen;
     const cluster::ClusterEngine* cluster = nullptr;
   };
@@ -335,11 +338,6 @@ class QueryService {
   void ExecuteCluster(const QueryRequest& request, JoinMethod join_method,
                       UnionMethod union_method, const CancelToken* cancel,
                       QueryResponse* response);
-  /// JOSIE path with the engine hook: harvests the index's per-query work
-  /// counters (postings read) into the registry.
-  Result<std::vector<ColumnResult>> JosieWithStats(
-      const QueryRequest& request, const CancelToken* cancel,
-      const DiscoveryEngine& engine);
   void RecordMergeStats(const ingest::MergeStats& stats);
   /// True when the served engine(s) built the approximate sample tier —
   /// the admission-time gate for approx_ok routing.
@@ -348,7 +346,13 @@ class QueryService {
   /// metrics (estimates, fallback/interval decisions, widths, samples).
   void RecordApproxStats(const approx::ApproxQueryStats& stats);
 
-  const DiscoveryEngine* engine_;
+  /// The generation queries read outside cluster mode: the live engine's
+  /// current one, or the frozen engine's (built once at construction).
+  std::shared_ptr<const ingest::Generation> CurrentGeneration() const;
+
+  /// Frozen mode: the constructor's engine wrapped in a delta-less
+  /// generation; null in live and cluster modes.
+  std::shared_ptr<const ingest::Generation> frozen_;
   const ingest::LiveEngine* live_ = nullptr;
   const cluster::ClusterEngine* cluster_ = nullptr;
   Options options_;
@@ -386,7 +390,6 @@ class QueryService {
   GaugeFamily* breaker_state_gauges_;
   Counter* cache_hits_;
   Counter* cache_misses_;
-  Counter* josie_postings_read_;
   /// Approximate-tier accounting: queries served by join.approx, estimator
   /// invocations, and how each candidate was settled (interval vs exact
   /// fallback — the fallback rate is exact_fallbacks / decisions).
@@ -399,7 +402,9 @@ class QueryService {
   LatencyHistogram* approx_interval_width_;
   LatencyHistogram* approx_sample_size_;
   /// Merged-query provenance: results served from the immutable base vs
-  /// the ingest delta (live mode only; zero when serving a frozen engine).
+  /// the ingest delta. Counted in frozen and live modes (a frozen engine
+  /// answers from its base only); the cluster reports its own
+  /// cluster.shard.delta_hits instead.
   Counter* ingest_base_hits_;
   Counter* ingest_delta_hits_;
   LatencyHistogram* queue_wait_;

@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <filesystem>
+#include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,6 +16,7 @@
 #include "serve/metrics.h"
 #include "serve/query_service.h"
 #include "util/failpoint.h"
+#include "util/random.h"
 
 namespace lake::cluster {
 namespace {
@@ -308,6 +311,27 @@ class ClusterEngineTest : public ::testing::Test {
     return lake().table(0).column(0).DistinctStrings();
   }
 
+  /// A correlated query drawn from `table`: its first string column as the
+  /// join key, its first numeric column as the numbers (both cut to the
+  /// shorter length). Empty when the table lacks either column.
+  static void CorrelatedQuery(const Table& table,
+                              std::vector<std::string>* keys,
+                              std::vector<double>* numbers) {
+    keys->clear();
+    numbers->clear();
+    for (size_t c = 0; c < table.num_columns(); ++c) {
+      if (!table.column(c).IsNumeric() && keys->empty()) {
+        *keys = table.column(c).NonNullStrings();
+      }
+      if (table.column(c).IsNumeric() && numbers->empty()) {
+        *numbers = table.column(c).Numbers();
+      }
+    }
+    const size_t rows = std::min(keys->size(), numbers->size());
+    keys->resize(rows);
+    numbers->resize(rows);
+  }
+
   static GeneratedLake* lake_;
   static DiscoveryEngine* reference_;
   static std::map<size_t, std::unique_ptr<ClusterEngine>>* clusters_;
@@ -395,22 +419,10 @@ TEST_F(ClusterEngineTest, UnionableMatchesSingleEngineForAllShardCounts) {
 }
 
 TEST_F(ClusterEngineTest, CorrelatedMatchesSingleEngine) {
-  const Table& table = lake().table(0);
   std::vector<std::string> keys;
   std::vector<double> numbers;
-  for (size_t c = 0; c < table.num_columns(); ++c) {
-    if (!table.column(c).IsNumeric() && keys.empty()) {
-      keys = table.column(c).NonNullStrings();
-    }
-    if (table.column(c).IsNumeric() && numbers.empty()) {
-      numbers = table.column(c).Numbers();
-    }
-  }
+  CorrelatedQuery(lake().table(0), &keys, &numbers);
   ASSERT_FALSE(keys.empty());
-  ASSERT_FALSE(numbers.empty());
-  const size_t rows = std::min(keys.size(), numbers.size());
-  keys.resize(rows);
-  numbers.resize(rows);
 
   const CorrelatedJoinSearch* correlated = reference_->correlated_join();
   ASSERT_NE(correlated, nullptr);
@@ -430,6 +442,48 @@ TEST_F(ClusterEngineTest, CorrelatedMatchesSingleEngine) {
     ExpectSameRanking(expected, Canon(got.hits),
                       "correlated shards=" + std::to_string(shards));
   }
+}
+
+TEST_F(ClusterEngineTest, CorrelatedFillsKUnderTombstones) {
+  // Pick a query whose top hit is a table with exactly one (key, numeric)
+  // pair in the answer and at least two other hits behind it.
+  std::vector<std::string> keys;
+  std::vector<double> numbers;
+  std::string removed;
+  std::vector<NamedHit> survivors;
+  for (TableId id = 0; id < lake().num_tables() && removed.empty(); ++id) {
+    CorrelatedQuery(lake().table(id), &keys, &numbers);
+    if (keys.empty()) continue;
+    const auto direct = reference_->Correlated(keys, numbers, FullK() * 4);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    if (direct->empty()) continue;
+    const std::string top = lake().table((*direct)[0].column.table_id).name();
+    std::vector<NamedHit> rest;
+    for (const ColumnResult& r : *direct) {
+      const std::string& name = lake().table(r.column.table_id).name();
+      if (name != top) rest.push_back({name, r.column.column_index, r.score});
+    }
+    if (direct->size() == rest.size() + 1 && rest.size() >= 2) {
+      removed = top;
+      survivors = std::move(rest);
+    }
+  }
+  ASSERT_FALSE(removed.empty()) << "no suitable correlated query in the lake";
+  SortCanonical(&survivors);
+
+  // One shard holds every hit. With k = the surviving hits, the removed
+  // table ranks inside the shard's own top k, so a shard that searched for
+  // k and then dropped it would come back one short.
+  ClusterEngine cluster(lake(), ClusterOptions(1));
+  ingest::LiveEngine::Batch removal;
+  removal.removes.push_back(removed);
+  ASSERT_TRUE(cluster.ApplyBatch(std::move(removal)).removes[0].ok());
+  const ColumnQueryResponse got =
+      cluster.Correlated(keys, numbers, survivors.size());
+  ASSERT_TRUE(got.status.ok()) << got.status;
+  for (const ColumnHit& h : got.hits) EXPECT_NE(h.table, removed);
+  ExpectSameRanking(survivors, Canon(got.hits),
+                    "correlated with " + removed + " removed");
 }
 
 TEST_F(ClusterEngineTest, ApplyBatchRoutesAddsToOwningShard) {
@@ -619,6 +673,278 @@ TEST_F(ClusterEngineTest, ClusterMetricsAccumulate) {
   EXPECT_EQ(total, 1u);
   EXPECT_EQ(per_shard, 2u);  // one scatter touches both shards
   EXPECT_EQ(tables_gauge_sum, lake().num_tables());
+}
+
+// --------------------------------------------- serving modes, differential
+
+/// One (kind, method) pair a QueryService serves. `cluster` marks the
+/// pairs the *MatchesSingleEngine* tests above prove partition-independent.
+struct ServedPair {
+  serve::QueryKind kind;
+  JoinMethod join = JoinMethod::kJosie;
+  UnionMethod union_method = UnionMethod::kTus;
+  bool cluster = false;
+};
+
+std::vector<ServedPair> EveryServedPair() {
+  std::vector<ServedPair> pairs = {
+      {serve::QueryKind::kKeyword, JoinMethod::kJosie, UnionMethod::kTus, true},
+      {serve::QueryKind::kCorrelated, JoinMethod::kJosie, UnionMethod::kTus,
+       true}};
+  for (JoinMethod m :
+       {JoinMethod::kExactJaccard, JoinMethod::kExactContainment,
+        JoinMethod::kLshEnsemble, JoinMethod::kJosie, JoinMethod::kPexeso,
+        JoinMethod::kApprox}) {
+    pairs.push_back({serve::QueryKind::kJoin, m, UnionMethod::kTus,
+                     m == JoinMethod::kJosie ||
+                         m == JoinMethod::kExactContainment});
+  }
+  for (UnionMethod m : {UnionMethod::kTus, UnionMethod::kSantos,
+                        UnionMethod::kStarmie, UnionMethod::kD3l}) {
+    pairs.push_back({serve::QueryKind::kUnion, JoinMethod::kJosie, m,
+                     m == UnionMethod::kTus || m == UnionMethod::kStarmie});
+  }
+  return pairs;
+}
+
+TEST_F(ClusterEngineTest, ServingModesHideRemovedTablesAndAgreeAfterCompact) {
+  // Every modality, so frozen and live cover every (kind, method) pair.
+  DiscoveryEngine::Options every;
+  every.synthesize_kb = false;
+  every.train_annotator = false;
+  ingest::LiveEngine::Options live_options;
+  live_options.base_options = every;
+  live_options.kb = &lake_->kb;
+
+  // `visible` is the oracle's lake: name -> content, in sorted-name order.
+  std::map<std::string, Table> visible;
+  auto base = std::make_shared<DataLakeCatalog>();
+  for (TableId id : lake().AllTables()) {
+    ASSERT_TRUE(base->AddTable(lake().table(id)).ok());
+    visible.emplace(lake().table(id).name(), lake().table(id));
+  }
+  ingest::LiveEngine live(base, live_options);
+  ClusterEngine::Options cluster_options = ClusterOptions(2);
+  cluster_options.engine = live_options;
+  ClusterEngine cluster(lake(), cluster_options);
+  const size_t k = lake().num_columns() * 2 + 8;
+
+  auto request = [k](const ServedPair& pair, const Table& table) {
+    serve::QueryRequest req;
+    req.kind = pair.kind;
+    req.join_method = pair.join;
+    req.union_method = pair.union_method;
+    req.k = k;
+    req.bypass_cache = true;
+    req.require_exact_method = true;
+    switch (pair.kind) {
+      case serve::QueryKind::kKeyword:
+        for (const Column& c : table.columns()) req.keyword += c.name() + " ";
+        break;
+      case serve::QueryKind::kJoin:
+        req.values = table.column(0).DistinctStrings();
+        break;
+      case serve::QueryKind::kUnion:
+        req.union_table = &table;
+        break;
+      case serve::QueryKind::kCorrelated:
+        CorrelatedQuery(table, &req.values, &req.numeric_values);
+        break;
+    }
+    return req;
+  };
+  auto servable = [](const serve::QueryRequest& req) {
+    return req.kind == serve::QueryKind::kKeyword ||
+           req.kind == serve::QueryKind::kUnion || !req.values.empty();
+  };
+  // A response as (name, column, score) hits; `name_of` resolves ids when
+  // the response carries no names (single-engine modes).
+  auto named = [](const serve::QueryResponse& r,
+                  const std::function<std::string(TableId)>& name_of) {
+    std::vector<NamedHit> hits;
+    for (size_t i = 0; i < r.tables.size(); ++i) {
+      hits.push_back({r.table_names.empty() ? name_of(r.tables[i].table_id)
+                                            : r.table_names[i],
+                      0, r.tables[i].score});
+    }
+    for (size_t i = 0; i < r.columns.size(); ++i) {
+      const ColumnRef& ref = r.columns[i].column;
+      hits.push_back({r.table_names.empty() ? name_of(ref.table_id)
+                                            : r.table_names[i],
+                      ref.column_index, r.columns[i].score});
+    }
+    SortCanonical(&hits);
+    return hits;
+  };
+  // Live ids resolve against the generation's catalogs directly, so a
+  // tombstoned base hit shows up under its (removed) name.
+  auto live_names = [&live]() {
+    std::shared_ptr<const ingest::Generation> gen = live.Acquire();
+    return [gen](TableId id) {
+      return gen->IsDeltaId(id)
+                 ? gen->delta()
+                       .catalog->table(static_cast<TableId>(
+                           id - gen->base_table_count()))
+                       .name()
+                 : gen->base_catalog().table(id).name();
+    };
+  };
+
+  // The first batch removes a base table its own correlated query finds,
+  // so the removal check below reaches correlated search.
+  std::vector<std::string> self_correlated;
+  const ServedPair correlated = EveryServedPair()[1];
+  for (const auto& [name, table] : visible) {
+    const serve::QueryRequest req = request(correlated, table);
+    if (!servable(req)) continue;
+    const auto hits =
+        live.Acquire()->base().Correlated(req.values, req.numeric_values, k);
+    ASSERT_TRUE(hits.ok()) << hits.status();
+    for (const ColumnResult& r : *hits) {
+      if (lake().table(r.column.table_id).name() == name) {
+        self_correlated.push_back(name);
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(self_correlated.empty());
+
+  // Seeded add/remove batches, applied to both the live engine and the
+  // cluster: each removes one visible table and adds two row-slices of
+  // lake tables under new names.
+  Rng rng(7);
+  std::map<std::string, Table> removed;
+  for (int b = 0; b < 4; ++b) {
+    std::string victim;
+    if (b == 0) {
+      victim = self_correlated[rng.NextBounded(self_correlated.size())];
+    } else {
+      auto it = visible.begin();
+      std::advance(it, rng.NextBounded(visible.size()));
+      victim = it->first;
+    }
+    ingest::LiveEngine::Batch batch;
+    batch.removes.push_back(victim);
+    for (int a = 0; a < 2; ++a) {
+      const Table& origin = lake().table(
+          static_cast<TableId>(rng.NextBounded(lake().num_tables())));
+      const size_t rows = origin.num_rows() / 2 +
+                          rng.NextBounded(origin.num_rows() / 2 + 1);
+      Result<Table> slice = origin.Slice(0, rows);
+      ASSERT_TRUE(slice.ok()) << slice.status();
+      slice->set_name("ingest_" + std::to_string(b) + "_" + std::to_string(a));
+      batch.adds.push_back(*slice);
+    }
+    for (const ingest::LiveEngine::BatchOutcome& outcome :
+         {live.ApplyBatch(batch), cluster.ApplyBatch(batch)}) {
+      ASSERT_TRUE(outcome.published);
+      for (const Status& st : outcome.removes) ASSERT_TRUE(st.ok()) << st;
+      for (const auto& id : outcome.adds) ASSERT_TRUE(id.ok()) << id.status();
+    }
+    removed.insert(visible.extract(victim));
+    for (Table& t : batch.adds) visible.emplace(t.name(), std::move(t));
+  }
+
+  // Before compaction: no mode returns a removed table, for any pair.
+  {
+    serve::QueryService live_service(&live, serve::QueryService::Options{});
+    serve::QueryService cluster_service(&cluster,
+                                        serve::QueryService::Options{});
+    const auto live_name = live_names();
+    for (const ServedPair& pair : EveryServedPair()) {
+      for (const auto& [name, table] : removed) {
+        const serve::QueryRequest req = request(pair, table);
+        if (!servable(req)) continue;
+        const std::string context = serve::QueryService::ModalityName(req) +
+                                    " query from removed " + name;
+        const serve::QueryResponse from_live = live_service.Execute(req);
+        ASSERT_TRUE(from_live.status.ok())
+            << context << ": " << from_live.status;
+        for (const NamedHit& h : named(from_live, live_name)) {
+          EXPECT_EQ(removed.count(h.name), 0u) << "live " << context;
+        }
+        const serve::QueryResponse from_cluster = cluster_service.Execute(req);
+        ASSERT_TRUE(from_cluster.status.ok())
+            << context << ": " << from_cluster.status;
+        for (const NamedHit& h : named(from_cluster, nullptr)) {
+          EXPECT_EQ(removed.count(h.name), 0u) << "cluster " << context;
+        }
+      }
+    }
+  }
+
+  // After compaction: frozen, live and cluster services answer exactly as
+  // a fresh engine over the visible tables in sorted-name order.
+  ASSERT_TRUE(live.Compact().ok());
+  ASSERT_TRUE(cluster.CompactAll().ok());
+  DataLakeCatalog fresh_catalog;
+  for (const auto& [name, table] : visible) {
+    ASSERT_TRUE(fresh_catalog.AddTable(table).ok());
+  }
+  const DiscoveryEngine fresh(&fresh_catalog, &lake_->kb, every);
+  serve::QueryService frozen_service(&fresh, serve::QueryService::Options{});
+  serve::QueryService live_service(&live, serve::QueryService::Options{});
+  serve::QueryService cluster_service(&cluster,
+                                      serve::QueryService::Options{});
+  const auto fresh_name = [&fresh_catalog](TableId id) {
+    return fresh_catalog.table(id).name();
+  };
+  const auto live_name = live_names();
+  std::vector<const Table*> sources;
+  for (const auto& [name, table] : visible) sources.push_back(&table);
+  for (const auto& [name, table] : removed) sources.push_back(&table);
+  for (const ServedPair& pair : EveryServedPair()) {
+    for (const Table* table : sources) {
+      const serve::QueryRequest req = request(pair, *table);
+      if (!servable(req)) continue;
+      const std::string context =
+          serve::QueryService::ModalityName(req) + " query from " +
+          table->name();
+      // The reference: the fresh engine called directly.
+      serve::QueryResponse direct;
+      switch (pair.kind) {
+        case serve::QueryKind::kKeyword:
+          direct.tables = fresh.Keyword(req.keyword, k);
+          break;
+        case serve::QueryKind::kJoin: {
+          auto r = fresh.Joinable(req.values, pair.join, k);
+          ASSERT_TRUE(r.ok()) << context << ": " << r.status();
+          direct.columns = *std::move(r);
+          break;
+        }
+        case serve::QueryKind::kUnion: {
+          auto r = fresh.Unionable(*table, pair.union_method, k);
+          ASSERT_TRUE(r.ok()) << context << ": " << r.status();
+          direct.tables = *std::move(r);
+          break;
+        }
+        case serve::QueryKind::kCorrelated: {
+          auto r = fresh.Correlated(req.values, req.numeric_values, k);
+          ASSERT_TRUE(r.ok()) << context << ": " << r.status();
+          direct.columns = *std::move(r);
+          break;
+        }
+      }
+      const std::vector<NamedHit> expected = named(direct, fresh_name);
+
+      const serve::QueryResponse from_frozen = frozen_service.Execute(req);
+      ASSERT_TRUE(from_frozen.status.ok()) << context << ": "
+                                           << from_frozen.status;
+      ExpectSameRanking(expected, named(from_frozen, fresh_name),
+                        "frozen " + context);
+      const serve::QueryResponse from_live = live_service.Execute(req);
+      ASSERT_TRUE(from_live.status.ok()) << context << ": "
+                                         << from_live.status;
+      ExpectSameRanking(expected, named(from_live, live_name),
+                        "live " + context);
+      if (!pair.cluster) continue;
+      const serve::QueryResponse from_cluster = cluster_service.Execute(req);
+      ASSERT_TRUE(from_cluster.status.ok())
+          << context << ": " << from_cluster.status;
+      ExpectSameRanking(expected, named(from_cluster, nullptr),
+                        "cluster " + context);
+    }
+  }
 }
 
 }  // namespace

@@ -45,6 +45,34 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Writes `index` to `path` in the checksummed snapshot envelope the
+/// engine's index sections use: a "meta" section holding the kind tag and
+/// an "index" section holding the Save payload.
+template <typename Index>
+Status SaveEnvelope(const Index& index, const std::string& kind,
+                    const std::string& path) {
+  store::SnapshotWriter snapshot;
+  snapshot.AddSection("meta", kind);
+  std::ostringstream payload;
+  LAKE_RETURN_IF_ERROR(index.Save(&payload));
+  snapshot.AddSection("index", std::move(payload).str());
+  return snapshot.WriteToFile(path);
+}
+
+/// Reads an envelope written by SaveEnvelope into `index`. Both sections
+/// are CRC-verified before `index` is touched.
+template <typename Index>
+Status LoadEnvelope(const std::string& path, const std::string& kind,
+                    Index* index) {
+  LAKE_ASSIGN_OR_RETURN(store::SnapshotReader reader,
+                        store::SnapshotReader::OpenFile(path));
+  LAKE_ASSIGN_OR_RETURN(std::string tag, reader.ReadSection("meta"));
+  if (tag != kind) return Status::IoError("envelope holds a " + tag);
+  LAKE_ASSIGN_OR_RETURN(std::string payload, reader.ReadSection("index"));
+  std::istringstream in(payload);
+  return index->Load(&in);
+}
+
 // ------------------------------------------------------------ HNSW sweep
 
 HnswIndex BuildSmallHnsw() {
@@ -73,7 +101,7 @@ TEST(CorruptionSweepTest, HnswEveryByteFlip) {
   const std::string dir = TestDir("hnsw_flip");
   const std::string path = dir + "/hnsw.lks";
   const HnswIndex original = BuildSmallHnsw();
-  ASSERT_TRUE(original.SaveToFile(path).ok());
+  ASSERT_TRUE(SaveEnvelope(original, "hnsw", path).ok());
   const std::string clean = ReadFileBytes(path);
   ASSERT_GT(clean.size(), 100u);
 
@@ -88,7 +116,7 @@ TEST(CorruptionSweepTest, HnswEveryByteFlip) {
     WriteFileBytes(corrupt_path, bytes);
 
     HnswIndex loaded(HnswIndex::Options{});
-    const Status status = loaded.LoadFromFile(corrupt_path);
+    const Status status = LoadEnvelope(corrupt_path, "hnsw", &loaded);
     if (!status.ok()) {
       ++rejected;
       continue;
@@ -111,14 +139,15 @@ TEST(CorruptionSweepTest, HnswEveryByteFlip) {
 TEST(CorruptionSweepTest, HnswEveryTruncation) {
   const std::string dir = TestDir("hnsw_trunc");
   const std::string path = dir + "/hnsw.lks";
-  ASSERT_TRUE(BuildSmallHnsw().SaveToFile(path).ok());
+  ASSERT_TRUE(SaveEnvelope(BuildSmallHnsw(), "hnsw", path).ok());
   const std::string clean = ReadFileBytes(path);
 
   const std::string corrupt_path = dir + "/corrupt.lks";
   for (size_t len = 0; len < clean.size(); ++len) {
     WriteFileBytes(corrupt_path, clean.substr(0, len));
     HnswIndex loaded(HnswIndex::Options{});
-    EXPECT_FALSE(loaded.LoadFromFile(corrupt_path).ok()) << "length " << len;
+    EXPECT_FALSE(LoadEnvelope(corrupt_path, "hnsw", &loaded).ok())
+        << "length " << len;
   }
 }
 
@@ -143,7 +172,7 @@ TEST(CorruptionSweepTest, JosieEveryByteFlipAndTruncation) {
   const std::string dir = TestDir("josie");
   const std::string path = dir + "/josie.lks";
   const JosieIndex original = BuildSmallJosie();
-  ASSERT_TRUE(original.SaveToFile(path).ok());
+  ASSERT_TRUE(SaveEnvelope(original, "josie", path).ok());
   const std::string clean = ReadFileBytes(path);
 
   const std::vector<std::string> probe = {"ottawa", "toronto", "calgary"};
@@ -157,7 +186,7 @@ TEST(CorruptionSweepTest, JosieEveryByteFlipAndTruncation) {
     bytes[i] ^= 1;
     WriteFileBytes(corrupt_path, bytes);
     JosieIndex loaded;
-    const Status status = loaded.LoadFromFile(corrupt_path);
+    const Status status = LoadEnvelope(corrupt_path, "josie", &loaded);
     if (!status.ok()) {
       ++rejected;
       continue;
@@ -175,7 +204,8 @@ TEST(CorruptionSweepTest, JosieEveryByteFlipAndTruncation) {
   for (size_t len = 0; len < clean.size(); ++len) {
     WriteFileBytes(corrupt_path, clean.substr(0, len));
     JosieIndex loaded;
-    EXPECT_FALSE(loaded.LoadFromFile(corrupt_path).ok()) << "length " << len;
+    EXPECT_FALSE(LoadEnvelope(corrupt_path, "josie", &loaded).ok())
+        << "length " << len;
   }
 }
 
