@@ -117,7 +117,9 @@ struct MergeStats {
 /// Base+delta merged top-k queries over one acquired generation — the read
 /// path of every query kind in every serving mode. The base is asked for k
 /// plus the tombstone count, so filtering out removed tables still fills
-/// k; delta results are remapped into the lake-visible id range, and the
+/// k (a full page that filtering still leaves short, because a removed
+/// table owned several top columns, is re-asked once with room for every
+/// column of the removed tables); delta results are remapped into the lake-visible id range, and the
 /// two ranked lists are merged by score via the shared N-way merge in
 /// cluster/topk_merge.h (ties prefer base — its corpus statistics are the
 /// better-calibrated side). Methods the delta engine does not build (the

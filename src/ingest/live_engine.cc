@@ -133,12 +133,27 @@ template <typename R, typename Search>
 Result<std::vector<R>> MergeSides(const Generation& gen, size_t k,
                                   MergeStats* stats, Search search) {
   const DeltaPart& delta_part = gen.delta();
-  LAKE_ASSIGN_OR_RETURN(
-      std::vector<R> base,
-      search(gen.base(), k + delta_part.tombstones.size(), false));
-  const auto removed = std::remove_if(base.begin(), base.end(), [&](R& r) {
+  const size_t base_k = k + delta_part.tombstones.size();
+  LAKE_ASSIGN_OR_RETURN(std::vector<R> base,
+                        search(gen.base(), base_k, false));
+  auto tombstoned = [&](R& r) {
     return delta_part.tombstones.count(TableIdOf(r)) != 0;
-  });
+  };
+  auto removed = std::remove_if(base.begin(), base.end(), tombstoned);
+  if (static_cast<size_t>(base.end() - removed) >
+          delta_part.tombstones.size() &&
+      base.size() == base_k) {
+    // One removed table can own several top columns, so a full page came
+    // back short of k. Re-ask once with room for every column of every
+    // tombstoned table: filtering cannot drop more hits than that.
+    size_t tombstoned_columns = 0;
+    for (TableId id : delta_part.tombstones) {
+      tombstoned_columns += gen.base_catalog().table(id).num_columns();
+    }
+    LAKE_ASSIGN_OR_RETURN(base,
+                          search(gen.base(), k + tombstoned_columns, false));
+    removed = std::remove_if(base.begin(), base.end(), tombstoned);
+  }
   if (stats != nullptr) {
     stats->tombstone_filtered += static_cast<size_t>(base.end() - removed);
   }

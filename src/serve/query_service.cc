@@ -431,12 +431,59 @@ Result<SubmittedQuery> QueryService::Submit(QueryRequest request) {
     cancel->SetDeadline(admitted + options_.default_deadline);
   }
 
+  // Pin the engine snapshot and compute the cache key once, at admission:
+  // a hit is answered from them right here, a miss carries them into its
+  // pool task, so the key's version always matches the generation the
+  // results come from (a publish racing with this query can make a
+  // stale-but-correctly-keyed entry, never a mismatched one).
+  ExecContext ctx;
+  uint64_t version = 0;
+  if (cluster_ != nullptr) {
+    // Cluster mode pins no single generation (each shard pins its own at
+    // scatter time); the cluster's topology/ingest version keys the cache
+    // so any ApplyBatch or rebalance routes around stale entries.
+    ctx.cluster = cluster_;
+    version = cluster_->version();
+  } else {
+    ctx.gen = CurrentGeneration();
+    version = ctx.gen->version();
+  }
+  std::optional<uint64_t> key;
+  if (options_.enable_cache && !request.bypass_cache) {
+    key = CacheKeyWithVersion(request, version);
+  }
+
+  // Cache hits complete on the submitting thread: a hash and a map probe
+  // are far cheaper than two thread hand-offs. An already-expired query
+  // skips the lookup (and counts no miss); Run fails it on the pool.
+  if (key.has_value() && cancel->Check().ok()) {
+    CachedResult hit;
+    if (cache_.Lookup(*key, &hit)) {
+      cache_hits_->Add();
+      if (options_.pre_execute_hook) options_.pre_execute_hook(request);
+      QueryResponse response;
+      response.tables = std::move(hit.tables);
+      response.columns = std::move(hit.columns);
+      response.table_names = std::move(hit.table_names);
+      response.shards = std::move(hit.shards);
+      response.cache_hit = true;
+      // Approx routing is decided at admission, so an entry under a
+      // kApprox key can only hold an approximate answer (degraded results
+      // are never cached) — the flag survives the cache.
+      response.approx = request.kind == QueryKind::kJoin &&
+                        request.join_method == JoinMethod::kApprox;
+      std::promise<QueryResponse> done;
+      done.set_value(Finish(request.kind, admitted, std::move(response)));
+      return SubmittedQuery{done.get_future(), std::move(cancel)};
+    }
+    cache_misses_->Add();
+  }
+
   std::future<QueryResponse> future = pool_.Async(
-      [this, request = std::move(request), cancel, admitted]() {
-        QueryResponse response = Run(request, cancel.get(), admitted);
-        if (options_.adaptive_admission) admission_->Release();
-        pending_.fetch_sub(1, std::memory_order_relaxed);
-        return response;
+      [this, request = std::move(request), ctx = std::move(ctx), key, cancel,
+       admitted]() {
+        return Finish(request.kind, admitted,
+                      Run(request, ctx, key, cancel.get(), admitted));
       });
   return SubmittedQuery{std::move(future), std::move(cancel)};
 }
@@ -788,9 +835,11 @@ void QueryService::ExecutePlan(const QueryRequest& request,
   }
 }
 
-QueryResponse QueryService::Run(
-    const QueryRequest& request, const CancelToken* cancel,
-    std::chrono::steady_clock::time_point admitted) {
+QueryResponse QueryService::Run(const QueryRequest& request,
+                                const ExecContext& ctx,
+                                std::optional<uint64_t> key,
+                                const CancelToken* cancel,
+                                Clock::time_point admitted) {
   const auto started = Clock::now();
   const auto sojourn = started - admitted;
   queue_wait_->Record(
@@ -807,68 +856,28 @@ QueryResponse QueryService::Run(
     shed_codel_->Add();
     response.status =
         Status::Overloaded("shed at dequeue: queue sojourn over CoDel target");
+    return response;
   }
 
-  // Pin the engine snapshot for this query's whole execution BEFORE
-  // computing the cache key, so the key's version always matches the
-  // generation the results come from (a publish racing with this query
-  // can make us a stale-but-correctly-keyed entry, never a mismatched
-  // one).
-  ExecContext ctx;
-  uint64_t version = 0;
-  if (cluster_ != nullptr) {
-    // Cluster mode pins no single generation (each shard pins its own at
-    // scatter time); the cluster's topology/ingest version keys the cache
-    // so any ApplyBatch or rebalance routes around stale entries.
-    ctx.cluster = cluster_;
-    version = cluster_->version();
-  } else {
-    ctx.gen = CurrentGeneration();
-    version = ctx.gen->version();
+  // A query that spent its whole budget queued fails before touching the
+  // engine.
+  response.status = cancel->Check();
+  if (!response.status.ok()) return response;
+
+  ExecutePlan(request, ctx, cancel, &response);
+  // A query that expired mid-execution must not populate the cache (the
+  // engine may have unwound with partial work), and a degraded brownout
+  // answer must not shadow the full-quality method's entry.
+  if (response.status.ok() && key.has_value() && !response.degraded &&
+      cancel->Check().ok()) {
+    cache_.Insert(*key, CachedResult{response.tables, response.columns,
+                                     response.table_names, response.shards});
   }
+  return response;
+}
 
-  const bool use_cache = options_.enable_cache && !request.bypass_cache;
-  const uint64_t key = use_cache ? CacheKeyWithVersion(request, version) : 0;
-
-  if (response.status.ok()) {
-    // A query that spent its whole budget queued fails before touching the
-    // engine (and before counting a cache miss).
-    Status live = cancel->Check();
-    if (live.ok() && use_cache) {
-      CachedResult hit;
-      if (cache_.Lookup(key, &hit)) {
-        cache_hits_->Add();
-        response.tables = std::move(hit.tables);
-        response.columns = std::move(hit.columns);
-        response.table_names = std::move(hit.table_names);
-        response.shards = std::move(hit.shards);
-        response.cache_hit = true;
-        // Approx routing is decided at admission, so an entry under a
-        // kApprox key can only hold an approximate answer (degraded
-        // results are never cached) — the flag survives the cache.
-        response.approx = request.kind == QueryKind::kJoin &&
-                          request.join_method == JoinMethod::kApprox;
-      } else {
-        cache_misses_->Add();
-      }
-    }
-
-    if (!live.ok()) {
-      response.status = live;
-    } else if (!response.cache_hit) {
-      ExecutePlan(request, ctx, cancel, &response);
-      // A query that expired mid-execution must not populate the cache
-      // (the engine may have unwound with partial work), and a degraded
-      // brownout answer must not shadow the full-quality method's entry.
-      if (response.status.ok() && use_cache && !response.degraded &&
-          cancel->Check().ok()) {
-        cache_.Insert(key,
-                      CachedResult{response.tables, response.columns,
-                                   response.table_names, response.shards});
-      }
-    }
-  }
-
+QueryResponse QueryService::Finish(QueryKind kind, Clock::time_point admitted,
+                                   QueryResponse response) {
   switch (response.status.code()) {
     case StatusCode::kOk:
       break;
@@ -892,19 +901,22 @@ QueryResponse QueryService::Run(
   const auto finished = Clock::now();
   response.latency_ms =
       std::chrono::duration<double, std::milli>(finished - admitted).count();
-  latency_by_kind_[KindIndex(request.kind)]->Record(
+  latency_by_kind_[KindIndex(kind)]->Record(
       std::chrono::duration<double, std::micro>(finished - admitted).count());
 
   // AIMD feedback: deadline death and CoDel sheds force the decrease
   // path; cancellation is the caller's choice and teaches nothing.
-  if (options_.adaptive_admission &&
-      response.status.code() != StatusCode::kCancelled) {
-    const bool congested =
-        response.status.code() == StatusCode::kDeadlineExceeded ||
-        response.status.code() == StatusCode::kOverloaded;
-    admission_->OnCompletion(response.latency_ms, congested, finished);
-    admission_limit_gauge_->Set(admission_->limit());
+  if (options_.adaptive_admission) {
+    if (response.status.code() != StatusCode::kCancelled) {
+      const bool congested =
+          response.status.code() == StatusCode::kDeadlineExceeded ||
+          response.status.code() == StatusCode::kOverloaded;
+      admission_->OnCompletion(response.latency_ms, congested, finished);
+      admission_limit_gauge_->Set(admission_->limit());
+    }
+    admission_->Release();
   }
+  pending_.fetch_sub(1, std::memory_order_relaxed);
   return response;
 }
 

@@ -126,7 +126,8 @@ struct SubmittedQuery {
 /// DiscoveryEngine behind a thread-pool executor with adaptive admission
 /// control (AIMD concurrency limit + CoDel dequeue shedding, batch shed
 /// first), per-query deadlines with cooperative cancellation, a sharded
-/// LRU result cache keyed by canonical query hashes, per-modality circuit
+/// LRU result cache keyed by canonical query hashes (hits are answered on
+/// the submitting thread, with no pool hand-off), per-modality circuit
 /// breakers with graceful brownout to the survey's cheap methods
 /// (Starmie -> TUS, JOSIE -> LSH Ensemble), and a MetricsRegistry every
 /// component reports into. The engine's indexes are immutable after
@@ -167,8 +168,10 @@ class QueryService {
     bool enable_cache = true;
     ResultCache::Options cache;
     std::chrono::milliseconds default_deadline{0};  // 0 = none
-    /// Test/fault-injection instrumentation: runs on the worker thread
-    /// after dequeue, before the engine executes.
+    /// Test/fault-injection instrumentation: runs exactly once per
+    /// admitted query — on the submitting thread after the lookup for a
+    /// cache hit, on the worker thread after dequeue (before the engine
+    /// executes) for everything else.
     std::function<void(const QueryRequest&)> pre_execute_hook;
     /// Recovery state of the engine's snapshot-loaded indexes (not owned;
     /// may be null). When set, Health() reports degraded-mode status and
@@ -203,10 +206,12 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Admits a query for asynchronous execution. Fails fast with
-  /// kOverloaded when the live admission limit is reached (batch sheds
-  /// first) and with kInvalidArgument for malformed requests (e.g. kUnion
-  /// without a table). Never blocks.
+  /// Admits a query. A cache hit is answered on the calling thread and its
+  /// future is already satisfied when Submit returns; any other query runs
+  /// asynchronously on the pool. Fails fast with kOverloaded when the live
+  /// admission limit is reached (batch sheds first, hits included) and
+  /// with kInvalidArgument for malformed requests (e.g. kUnion without a
+  /// table). Never blocks, unless pre_execute_hook does on a hit.
   Result<SubmittedQuery> Submit(QueryRequest request);
 
   /// Synchronous convenience wrapper: admits, waits, returns. Overload and
@@ -298,20 +303,33 @@ class QueryService {
   const Options& options() const { return options_; }
 
  private:
-  /// Engine snapshot one query executes against. Outside cluster mode
-  /// `gen` pins the generation every query kind reads through the
+  /// Engine snapshot one query executes against, pinned once at admission
+  /// (its version keys the cache lookup and the insert). Outside cluster
+  /// mode `gen` pins the generation every query kind reads through the
   /// ingest::Merged* functions: the acquired live generation (RCU: the
   /// swapped-out state stays alive until this query drains) or the frozen
-  /// engine's generation, which has no delta. In cluster mode `cluster` is
-  /// set and `gen` stays null (the cluster pins per-shard generations
-  /// internally).
+  /// engine's generation, which has no delta. A queued miss therefore
+  /// executes against the generation current at admission, not at dequeue.
+  /// In cluster mode `cluster` is set and `gen` stays null (the cluster
+  /// pins per-shard generations internally).
   struct ExecContext {
     std::shared_ptr<const ingest::Generation> gen;
     const cluster::ClusterEngine* cluster = nullptr;
   };
 
-  QueryResponse Run(const QueryRequest& request, const CancelToken* cancel,
+  /// A cache miss (or uncached query) on its pool worker: queue-wait
+  /// record, hook, CoDel shed, deadline check, execution against the
+  /// context pinned at admission, and the insert under `key` (nullopt:
+  /// uncached).
+  QueryResponse Run(const QueryRequest& request, const ExecContext& ctx,
+                    std::optional<uint64_t> key, const CancelToken* cancel,
                     std::chrono::steady_clock::time_point admitted);
+  /// Completion shared by inline hits and pool-run queries: status
+  /// counters, per-kind latency, AIMD feedback, admission release and the
+  /// pending count.
+  QueryResponse Finish(QueryKind kind,
+                       std::chrono::steady_clock::time_point admitted,
+                       QueryResponse response);
   Status Validate(const QueryRequest& request) const;
   uint64_t CacheKeyWithVersion(const QueryRequest& request,
                                uint64_t version) const;
@@ -407,6 +425,8 @@ class QueryService {
   /// cluster.shard.delta_hits instead.
   Counter* ingest_base_hits_;
   Counter* ingest_delta_hits_;
+  /// Submit-to-dequeue wait of queries that went through the pool (cache
+  /// hits complete inline and never queue).
   LatencyHistogram* queue_wait_;
   LatencyHistogram* latency_by_kind_[4];
 

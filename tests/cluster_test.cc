@@ -15,6 +15,7 @@
 #include "lakegen/generator.h"
 #include "serve/metrics.h"
 #include "serve/query_service.h"
+#include "table/csv.h"
 #include "util/failpoint.h"
 #include "util/random.h"
 
@@ -484,6 +485,70 @@ TEST_F(ClusterEngineTest, CorrelatedFillsKUnderTombstones) {
   for (const ColumnHit& h : got.hits) EXPECT_NE(h.table, removed);
   ExpectSameRanking(survivors, Canon(got.hits),
                     "correlated with " + removed + " removed");
+}
+
+TEST_F(ClusterEngineTest, JoinFillsKWhenARemovedTableOwnsSeveralTopColumns) {
+  // "dup" owns the three best columns for the query (each holds every
+  // query value); t1..t6 follow with one column each and falling overlap.
+  // Removing dup drops three of the base's top hits, more than the one
+  // extra hit the tombstone count pads the base search with.
+  std::vector<std::string> query;
+  for (int v = 0; v < 20; ++v) query.push_back("val_" + std::to_string(v));
+  auto base = std::make_shared<DataLakeCatalog>();
+  auto add_csv = [&base](const std::string& name, const std::string& csv) {
+    Result<Table> table = ReadCsvString(csv, name);
+    ASSERT_TRUE(table.ok()) << table.status();
+    ASSERT_TRUE(base->AddTable(std::move(table).value()).ok());
+  };
+  std::string dup = "a,b,c\n";
+  for (const std::string& v : query) dup += v + "," + v + "," + v + "\n";
+  add_csv("dup", dup);
+  for (size_t t = 1; t <= 6; ++t) {
+    std::string csv = "key\n";
+    for (size_t v = 0; v < query.size(); ++v) {
+      csv += v + 2 * t < query.size()
+                 ? query[v] + "\n"
+                 : "t" + std::to_string(t) + "_" + std::to_string(v) + "\n";
+    }
+    add_csv("t" + std::to_string(t), csv);
+  }
+
+  ingest::LiveEngine::Options live_options;
+  live_options.base_options = BaseOptions();
+  live_options.kb = &lake_->kb;
+  ingest::LiveEngine live(base, live_options);
+  ASSERT_TRUE(live.RemoveTable("dup").ok());
+  ClusterEngine::Options cluster_options = ClusterOptions(1);
+  cluster_options.engine = live_options;
+  ClusterEngine cluster(*base, cluster_options);
+  ingest::LiveEngine::Batch removal;
+  removal.removes.push_back("dup");
+  ASSERT_TRUE(cluster.ApplyBatch(std::move(removal)).removes[0].ok());
+
+  serve::QueryRequest req;
+  req.kind = serve::QueryKind::kJoin;
+  req.join_method = JoinMethod::kJosie;
+  req.values = query;
+  req.k = 5;
+  req.bypass_cache = true;
+  req.require_exact_method = true;
+  const std::vector<std::string> expected = {"t1", "t2", "t3", "t4", "t5"};
+
+  serve::QueryService live_service(&live, serve::QueryService::Options{});
+  const serve::QueryResponse live_got = live_service.Execute(req);
+  ASSERT_TRUE(live_got.status.ok()) << live_got.status;
+  const std::shared_ptr<const ingest::Generation> gen = live.Acquire();
+  std::vector<std::string> live_names;
+  for (const ColumnResult& r : live_got.columns) {
+    live_names.push_back(gen->base_catalog().table(r.column.table_id).name());
+  }
+  EXPECT_EQ(live_names, expected);
+
+  serve::QueryService cluster_service(&cluster,
+                                      serve::QueryService::Options{});
+  const serve::QueryResponse cluster_got = cluster_service.Execute(req);
+  ASSERT_TRUE(cluster_got.status.ok()) << cluster_got.status;
+  EXPECT_EQ(cluster_got.table_names, expected);
 }
 
 TEST_F(ClusterEngineTest, ApplyBatchRoutesAddsToOwningShard) {

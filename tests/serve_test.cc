@@ -1,3 +1,4 @@
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <limits>
@@ -7,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ingest/live_engine.h"
 #include "lakegen/generator.h"
 #include "search/discovery_engine.h"
 #include "serve/metrics.h"
@@ -631,6 +633,151 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadIsConsistent) {
     if (row.name.rfind("serve.latency.", 0) == 0) recorded += row.count;
   }
   EXPECT_EQ(recorded, 65u);  // 64 + the reference query
+}
+
+TEST_F(QueryServiceTest, CacheHitCompletesWithoutAWorker) {
+  // The only worker blocks in the hook on a keyword query; a cached join
+  // query must still complete, because hits never enter the pool.
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+  QueryService::Options opts;
+  opts.num_workers = 1;
+  opts.pre_execute_hook = [&entered, release_future](const QueryRequest& r) {
+    if (r.kind != QueryKind::kKeyword) return;
+    entered.set_value();
+    release_future.wait();
+  };
+  QueryService service(engine_, opts);
+  ASSERT_TRUE(service.Execute(JoinRequest()).status.ok());
+
+  QueryRequest keyword;
+  keyword.kind = QueryKind::kKeyword;
+  keyword.keyword = lake_->topic_of[0];
+  Result<SubmittedQuery> blocked = service.Submit(std::move(keyword));
+  ASSERT_TRUE(blocked.ok());
+  entered.get_future().wait();
+
+  Result<SubmittedQuery> hit = service.Submit(JoinRequest());
+  ASSERT_TRUE(hit.ok());
+  const bool ready = hit->response.wait_for(std::chrono::seconds(1)) ==
+                     std::future_status::ready;
+  release.set_value();
+  ASSERT_TRUE(ready) << "cache hit waited behind the blocked worker";
+  const QueryResponse response = hit->response.get();
+  ASSERT_TRUE(response.status.ok()) << response.status;
+  EXPECT_TRUE(response.cache_hit);
+  EXPECT_TRUE(blocked->response.get().status.ok());
+}
+
+TEST_F(QueryServiceTest, OneLookupAndOneHookPerQuery) {
+  std::atomic<uint64_t> hooks{0};
+  QueryService::Options opts;
+  opts.max_pending = 1024;
+  opts.pre_execute_hook = [&hooks](const QueryRequest&) {
+    hooks.fetch_add(1, std::memory_order_relaxed);
+  };
+  QueryService service(engine_, opts);
+  constexpr int kPerThread = 48;
+  std::atomic<uint64_t> cacheable{0};
+  auto client = [&](int offset) {
+    std::vector<SubmittedQuery> inflight;
+    for (int i = 0; i < kPerThread; ++i) {
+      QueryRequest req;
+      switch ((i + offset) % 4) {
+        case 0:
+          req = JoinRequest();
+          break;
+        case 1:
+          req.kind = QueryKind::kKeyword;
+          req.keyword = lake_->topic_of[i % lake_->topic_of.size()];
+          break;
+        case 2:
+          req = UnionRequest();
+          break;
+        default:
+          req = JoinRequest();
+          req.bypass_cache = true;
+          break;
+      }
+      if (!req.bypass_cache) cacheable.fetch_add(1, std::memory_order_relaxed);
+      Result<SubmittedQuery> submitted = service.Submit(std::move(req));
+      ASSERT_TRUE(submitted.ok()) << submitted.status();
+      inflight.push_back(std::move(submitted).value());
+    }
+    for (SubmittedQuery& q : inflight) {
+      EXPECT_TRUE(q.response.get().status.ok());
+    }
+  };
+  std::thread a(client, 0);
+  std::thread b(client, 1);
+  a.join();
+  b.join();
+
+  const ResultCache::Stats stats = service.cache().GetStats();
+  EXPECT_EQ(stats.hits + stats.misses, cacheable.load());
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_EQ(service.metrics().GetCounter("serve.cache.hits")->value(),
+            stats.hits);
+  EXPECT_EQ(service.metrics().GetCounter("serve.cache.misses")->value(),
+            stats.misses);
+  EXPECT_EQ(hooks.load(), 2u * kPerThread);
+  EXPECT_EQ(service.metrics().GetCounter("serve.queries.admitted")->value(),
+            2u * kPerThread);
+  EXPECT_EQ(service.pending(), 0u);
+}
+
+TEST_F(QueryServiceTest, ZeroDeadlineOnACachedQueryCountsNoHit) {
+  QueryService service(engine_, QueryService::Options{});
+  ASSERT_TRUE(service.Execute(JoinRequest()).status.ok());
+  const ResultCache::Stats warm = service.cache().GetStats();
+  QueryRequest req = JoinRequest();
+  req.deadline = std::chrono::milliseconds(0);
+  const QueryResponse response = service.Execute(req);
+  EXPECT_EQ(response.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_FALSE(response.cache_hit);
+  EXPECT_TRUE(response.columns.empty());
+  const ResultCache::Stats after = service.cache().GetStats();
+  EXPECT_EQ(after.hits, warm.hits);
+  EXPECT_EQ(after.misses, warm.misses);
+  EXPECT_EQ(service.metrics()
+                .GetCounter("serve.queries.deadline_exceeded")
+                ->value(),
+            1u);
+}
+
+TEST_F(QueryServiceTest, LiveQueryAfterPublishMissesAndSeesTheNewTable) {
+  // Non-owning handles: the suite's catalog and engine outlive the test.
+  ingest::LiveEngine::Options live_options;
+  live_options.kb = &lake_->kb;
+  ingest::LiveEngine live(
+      std::shared_ptr<const DataLakeCatalog>(std::shared_ptr<void>(),
+                                             &lake_->catalog),
+      std::shared_ptr<const DiscoveryEngine>(std::shared_ptr<void>(),
+                                             engine_),
+      live_options);
+  QueryService service(&live, QueryService::Options{});
+  QueryRequest req = JoinRequest();
+  req.k = 10;
+  ASSERT_FALSE(service.Execute(req).cache_hit);
+  ASSERT_TRUE(service.Execute(req).cache_hit);
+
+  Table copy = lake_->catalog.table(0);
+  copy.set_name("fresh_copy_of_table_0");
+  ingest::LiveEngine::Batch batch;
+  batch.adds.push_back(std::move(copy));
+  ASSERT_TRUE(live.ApplyBatch(std::move(batch)).adds[0].ok());
+
+  const QueryResponse after = service.Execute(req);
+  ASSERT_TRUE(after.status.ok()) << after.status;
+  EXPECT_FALSE(after.cache_hit);
+  const std::shared_ptr<const ingest::Generation> gen = live.Acquire();
+  bool sees_new_table = false;
+  for (const ColumnResult& r : after.columns) {
+    const Result<std::string> name = gen->TableName(r.column.table_id);
+    sees_new_table |= name.ok() && *name == "fresh_copy_of_table_0";
+  }
+  EXPECT_TRUE(sees_new_table);
 }
 
 }  // namespace
