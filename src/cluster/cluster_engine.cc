@@ -852,7 +852,7 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Recover(
   cluster->SweepStrayCopies();
 
   cluster->StartScrubber();
-  return std::move(cluster);
+  return cluster;
 }
 
 // --- Queries -------------------------------------------------------------

@@ -46,8 +46,7 @@ class AdmissionController {
   struct Options {
     /// Starting concurrency limit; 0 means "start at max_limit" (the
     /// serving layer clamps max_limit to its hard max-pending bound, so
-    /// behavior matches the old fixed bound until congestion is actually
-    /// observed).
+    /// the limit is that bound until congestion is actually observed).
     size_t initial_limit = 0;
     size_t min_limit = 4;
     size_t max_limit = 4096;

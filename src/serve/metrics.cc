@@ -1,35 +1,12 @@
 #include "serve/metrics.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdio>
 
 #include "util/string_util.h"
 
 namespace lake::serve {
-
-namespace {
-constexpr int kSubBits = 2;  // 4 sub-buckets per power of two
-constexpr uint64_t kSubCount = 1ull << kSubBits;
-}  // namespace
-
-size_t LatencyHistogram::BucketIndex(uint64_t micros) {
-  if (micros < kSubCount) return static_cast<size_t>(micros);  // 0..3 exact
-  const int msb = 63 - std::countl_zero(micros);
-  const int shift = msb - kSubBits;
-  const uint64_t sub = (micros >> shift) & (kSubCount - 1);
-  const size_t index =
-      static_cast<size_t>(msb - kSubBits + 1) * kSubCount + sub;
-  return std::min(index, kNumBuckets - 1);
-}
-
-uint64_t LatencyHistogram::BucketLowerBound(size_t index) {
-  if (index < kSubCount) return index;
-  const int msb = static_cast<int>(index / kSubCount) + kSubBits - 1;
-  const uint64_t sub = index & (kSubCount - 1);
-  return (kSubCount + sub) << (msb - kSubBits);
-}
 
 void LatencyHistogram::Record(double micros) {
   const uint64_t us =
@@ -67,28 +44,11 @@ LatencyHistogram::Snapshot LatencyHistogram::Snap() const {
 double LatencyHistogram::Snapshot::Quantile(double q) const {
   if (count == 0) return 0;
   if (std::isnan(q)) q = 0;
-  q = std::clamp(q, 0.0, 1.0);
   // The extremes are tracked exactly; interpolation would only blur them.
   if (q <= 0.0) return min_micros;
   if (q >= 1.0) return max_micros;
-  const double target = q * static_cast<double>(count);
-  uint64_t cum = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    if (buckets[i] == 0) continue;
-    const uint64_t next = cum + buckets[i];
-    if (static_cast<double>(next) >= target) {
-      const double lo = static_cast<double>(BucketLowerBound(i));
-      const double hi = i + 1 < kNumBuckets
-                            ? static_cast<double>(BucketLowerBound(i + 1))
-                            : max_micros;
-      const double frac =
-          (target - static_cast<double>(cum)) / static_cast<double>(buckets[i]);
-      // Never extrapolate past an observed sample.
-      return std::clamp(lo + (hi - lo) * frac, min_micros, max_micros);
-    }
-    cum = next;
-  }
-  return max_micros;
+  // Never extrapolate past an observed sample.
+  return std::clamp(LogBucketQuantile(buckets, q), min_micros, max_micros);
 }
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {

@@ -11,6 +11,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "util/log_buckets.h"
 #include "util/serialize.h"
 #include "util/status.h"
 
@@ -37,13 +38,14 @@ class Gauge {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Fixed-memory log-scale latency histogram (microsecond samples): buckets
-/// are quarters of powers of two (HdrHistogram-style, 2 sub-bucket bits),
-/// so relative error of any extracted quantile is bounded by ~12.5% while
-/// the whole histogram is 256 atomic slots. Record is lock-free.
+/// Fixed-memory log-scale latency histogram (microsecond samples) over
+/// the quarter-octave buckets of util/log_buckets.h, so relative error of
+/// any extracted quantile is bounded by ~12.5% while the whole histogram
+/// is 256 atomic slots. Record is lock-free.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = 256;
+  static_assert(kNumBuckets >= kLogBuckets);
 
   /// Records one latency sample in microseconds (negative clamps to 0).
   void Record(double micros);
@@ -81,9 +83,12 @@ class LatencyHistogram {
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
 
   /// Bucket index for a microsecond value, and the inclusive lower bound /
-  /// exclusive upper bound of a bucket (exposed for tests).
-  static size_t BucketIndex(uint64_t micros);
-  static uint64_t BucketLowerBound(size_t index);
+  /// exclusive upper bound of a bucket (exposed for tests): the shared
+  /// util/log_buckets.h mapping, which every uint64 fits without a clamp.
+  static size_t BucketIndex(uint64_t micros) { return LogBucketIndex(micros); }
+  static uint64_t BucketLowerBound(size_t index) {
+    return LogBucketLowerBound(index);
+  }
 
  private:
   std::array<std::atomic<uint64_t>, kNumBuckets> buckets_{};

@@ -16,6 +16,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Budget brownout: the remaining deadline is compared against this
+/// quantile of the method's execution latency, once the histogram holds
+/// enough samples to trust it.
+constexpr double kBrownoutQuantile = 0.95;
+constexpr uint64_t kBrownoutMinSamples = 32;
+
 /// Order-insensitive hash of a value multiset (join queries are sets; the
 /// caller's value order must not fragment the cache).
 uint64_t HashValuesUnordered(const std::vector<std::string>& values) {
@@ -334,13 +340,23 @@ uint64_t QueryService::CacheKeyWithVersion(const QueryRequest& request,
   return h;
 }
 
-bool QueryService::ApproxAvailable() const {
-  if (cluster_ != nullptr) {
-    // All shards are built with the same options, so the build flag says
-    // whether every shard carries the sample tier.
-    return cluster_->options().engine.base_options.build_approx;
+QueryService::Tiers QueryService::BuiltTiers(const ExecContext& ctx) {
+  Tiers tiers;
+  if (ctx.cluster != nullptr) {
+    // All shards are built with the same options, so the build flags say
+    // what indexes every shard carries.
+    const DiscoveryEngine::Options& base =
+        ctx.cluster->options().engine.base_options;
+    tiers.approx_join = base.build_approx;
+    tiers.tus = base.build_tus;
+    tiers.lsh_join = base.build_lsh_join;
+  } else {
+    const DiscoveryEngine& base = ctx.gen->base();
+    tiers.approx_join = base.approx_join() != nullptr;
+    tiers.tus = base.tus() != nullptr;
+    tiers.lsh_join = base.lsh_join() != nullptr;
   }
-  return CurrentGeneration()->base().approx_join() != nullptr;
+  return tiers;
 }
 
 std::shared_ptr<const ingest::Generation> QueryService::CurrentGeneration()
@@ -369,57 +385,27 @@ void QueryService::RecordApproxStats(const approx::ApproxQueryStats& stats) {
 Result<SubmittedQuery> QueryService::Submit(QueryRequest request) {
   LAKE_RETURN_IF_ERROR(Validate(request));
 
-  // Approximate-tier routing, decided at admission so the cache key, the
-  // modality (breaker, latency histogram, failpoint site), and the
-  // brownout plan all see the effective method. require_exact_method
-  // pins the requested method, and a request that already asks for
-  // kApprox needs no rewrite.
-  if (request.kind == QueryKind::kJoin && request.approx_ok &&
-      !request.require_exact_method &&
-      request.join_method != JoinMethod::kApprox && ApproxAvailable()) {
-    request.join_method = JoinMethod::kApprox;
+  // Door policy: while CoDel is dropping and a queue exists, refuse new
+  // arrivals immediately — they would only age in a queue that is
+  // already shedding at dequeue. The queue-non-empty gate keeps a
+  // low-sojourn dequeue reachable so the dropping state can clear.
+  if (admission_->dropping() && pending() > options_.num_workers) {
+    queries_rejected_->Add();
+    shed_codel_->Add();
+    return Status::Overloaded("admission: shedding on queue delay");
   }
-
-  if (options_.adaptive_admission) {
-    // Door policy: while CoDel is dropping and a queue exists, refuse new
-    // arrivals immediately — they would only age in a queue that is
-    // already shedding at dequeue. The queue-non-empty gate keeps a
-    // low-sojourn dequeue reachable so the dropping state can clear.
-    if (admission_->dropping() &&
-        pending_.load(std::memory_order_relaxed) > options_.num_workers) {
+  switch (admission_->TryAdmit(request.priority)) {
+    case AdmissionController::Decision::kAdmit:
+      break;
+    case AdmissionController::Decision::kShedBatch:
       queries_rejected_->Add();
-      shed_codel_->Add();
-      return Status::Overloaded("admission: shedding on queue delay");
-    }
-    switch (admission_->TryAdmit(request.priority)) {
-      case AdmissionController::Decision::kAdmit:
-        break;
-      case AdmissionController::Decision::kShedBatch:
-        queries_rejected_->Add();
-        shed_batch_->Add();
-        return Status::Overloaded("admission: batch headroom exhausted");
-      case AdmissionController::Decision::kShedLimit:
-        queries_rejected_->Add();
-        shed_limit_->Add();
-        return Status::Overloaded(
-            "admission: adaptive concurrency limit reached");
-    }
-    pending_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Fixed bound: reserve a slot or reject. CAS (not fetch_add) so a
-    // burst of rejected queries cannot overshoot the pending count.
-    size_t pending = pending_.load(std::memory_order_relaxed);
-    for (;;) {
-      if (pending >= options_.max_pending) {
-        queries_rejected_->Add();
-        shed_limit_->Add();
-        return Status::Overloaded("admission queue full");
-      }
-      if (pending_.compare_exchange_weak(pending, pending + 1,
-                                         std::memory_order_relaxed)) {
-        break;
-      }
-    }
+      shed_batch_->Add();
+      return Status::Overloaded("admission: batch headroom exhausted");
+    case AdmissionController::Decision::kShedLimit:
+      queries_rejected_->Add();
+      shed_limit_->Add();
+      return Status::Overloaded(
+          "admission: adaptive concurrency limit reached");
   }
   queries_admitted_->Add();
 
@@ -448,6 +434,20 @@ Result<SubmittedQuery> QueryService::Submit(QueryRequest request) {
     ctx.gen = CurrentGeneration();
     version = ctx.gen->version();
   }
+
+  // Approximate-tier routing, decided from the pinned context (so the
+  // query executes on the engine it was routed for) and before the cache
+  // key, so the key, the modality (breaker, latency histogram, failpoint
+  // site) and the brownout plan all see the effective method.
+  // require_exact_method pins the requested method, and a request that
+  // already asks for kApprox needs no rewrite.
+  if (request.kind == QueryKind::kJoin && request.approx_ok &&
+      !request.require_exact_method &&
+      request.join_method != JoinMethod::kApprox &&
+      BuiltTiers(ctx).approx_join) {
+    request.join_method = JoinMethod::kApprox;
+  }
+
   std::optional<uint64_t> key;
   if (options_.enable_cache && !request.bypass_cache) {
     key = CacheKeyWithVersion(request, version);
@@ -512,13 +512,8 @@ QueryService::HealthSnapshot QueryService::Health() {
     health.recovered_generation = options_.recovery->recovered_generation();
   }
 
-  if (options_.adaptive_admission) {
-    health.admission_limit = admission_->limit();
-    health.admission_in_flight = admission_->in_flight();
-  } else {
-    health.admission_limit = options_.max_pending;
-    health.admission_in_flight = pending();
-  }
+  health.admission_limit = admission_->limit();
+  health.admission_in_flight = admission_->in_flight();
 
   const auto now = Clock::now();
   for (const auto& [name, breaker] : breakers_.All()) {
@@ -581,27 +576,11 @@ void QueryService::InvalidateCache() {
 std::optional<QueryService::Fallback> QueryService::FallbackFor(
     const QueryRequest& request, const ExecContext& ctx) const {
   // The survey's accuracy/latency pairs: the expensive high-recall method
-  // falls back to the cheap sketch/embedding-average alternative. In
-  // cluster mode the shards were all built with the same options, so the
-  // build flags say what indexes exist; otherwise the pinned generation's
-  // base engine is asked directly.
-  bool has_tus = false;
-  bool has_lsh_join = false;
-  bool has_approx_join = false;
-  if (ctx.cluster != nullptr) {
-    const DiscoveryEngine::Options& base =
-        ctx.cluster->options().engine.base_options;
-    has_tus = base.build_tus;
-    has_lsh_join = base.build_lsh_join;
-    has_approx_join = base.build_approx;
-  } else {
-    const DiscoveryEngine& base = ctx.gen->base();
-    has_tus = base.tus() != nullptr;
-    has_lsh_join = base.lsh_join() != nullptr;
-    has_approx_join = base.approx_join() != nullptr;
-  }
+  // falls back to the cheap sketch/embedding-average alternative, when
+  // the pinned context says the engine(s) built it.
+  const Tiers tiers = BuiltTiers(ctx);
   if (request.kind == QueryKind::kUnion &&
-      request.union_method == UnionMethod::kStarmie && has_tus) {
+      request.union_method == UnionMethod::kStarmie && tiers.tus) {
     return Fallback{request.join_method, UnionMethod::kTus, "union.tus",
                     brownout_union_};
   }
@@ -611,11 +590,11 @@ std::optional<QueryService::Fallback> QueryService::FallbackFor(
     // same ranking measure, an interval on every answer, and exact
     // fallback only where the interval cannot settle the top-k. The LSH
     // sketch tier remains for engines built without it.
-    if (has_approx_join) {
+    if (tiers.approx_join) {
       return Fallback{JoinMethod::kApprox, request.union_method,
                       "join.approx", brownout_join_};
     }
-    if (has_lsh_join) {
+    if (tiers.lsh_join) {
       return Fallback{JoinMethod::kLshEnsemble, request.union_method,
                       "join.lsh_ensemble", brownout_join_};
     }
@@ -809,11 +788,11 @@ void QueryService::ExecutePlan(const QueryRequest& request,
   if (permit == CircuitBreaker::Permit::kAllowed && fallback.has_value() &&
       cancel->has_deadline()) {
     LatencyHistogram* hist = metrics_.GetHistogram("serve.exec." + primary);
-    if (hist->count() >= options_.brownout_min_samples) {
+    if (hist->count() >= kBrownoutMinSamples) {
       const double budget_us =
           std::chrono::duration<double, std::micro>(cancel->Remaining())
               .count();
-      if (budget_us < hist->Percentile(options_.brownout_quantile) &&
+      if (budget_us < hist->Percentile(kBrownoutQuantile) &&
           run_fallback()) {
         return;
       }
@@ -851,8 +830,7 @@ QueryResponse QueryService::Run(const QueryRequest& request,
 
   // CoDel shed at dequeue: persistent queue sojourn above target means
   // queued work is dying of old age — fail it fast instead of executing.
-  if (options_.adaptive_admission &&
-      admission_->ShouldDrop(request.priority, sojourn, started)) {
+  if (admission_->ShouldDrop(request.priority, sojourn, started)) {
     shed_codel_->Add();
     response.status =
         Status::Overloaded("shed at dequeue: queue sojourn over CoDel target");
@@ -906,17 +884,14 @@ QueryResponse QueryService::Finish(QueryKind kind, Clock::time_point admitted,
 
   // AIMD feedback: deadline death and CoDel sheds force the decrease
   // path; cancellation is the caller's choice and teaches nothing.
-  if (options_.adaptive_admission) {
-    if (response.status.code() != StatusCode::kCancelled) {
-      const bool congested =
-          response.status.code() == StatusCode::kDeadlineExceeded ||
-          response.status.code() == StatusCode::kOverloaded;
-      admission_->OnCompletion(response.latency_ms, congested, finished);
-      admission_limit_gauge_->Set(admission_->limit());
-    }
-    admission_->Release();
+  if (response.status.code() != StatusCode::kCancelled) {
+    const bool congested =
+        response.status.code() == StatusCode::kDeadlineExceeded ||
+        response.status.code() == StatusCode::kOverloaded;
+    admission_->OnCompletion(response.latency_ms, congested, finished);
+    admission_limit_gauge_->Set(admission_->limit());
   }
-  pending_.fetch_sub(1, std::memory_order_relaxed);
+  admission_->Release();
   return response;
 }
 

@@ -142,13 +142,13 @@ class QueryService {
     /// the caller).
     size_t max_pending = 256;
 
-    /// Adaptive admission (AIMD + CoDel). When false the fixed
-    /// max_pending bound of the original design applies. Unset
-    /// (zero) admission.initial_limit / latency target / CoDel target are
-    /// derived at construction: initial limit = max_pending, and when
-    /// default_deadline is set, latency target = deadline / 2 and CoDel
-    /// target = deadline / 10.
-    bool adaptive_admission = true;
+    /// Adaptive admission (AIMD + CoDel). Unset (zero)
+    /// admission.initial_limit / latency target / CoDel target are derived
+    /// at construction: initial limit = min(admission.max_limit,
+    /// max_pending), and when default_deadline is set, latency target =
+    /// deadline / 2 and CoDel target = deadline / 10. While no query
+    /// carries a deadline and no latency target is set, nothing signals
+    /// congestion, so the limit holds at its initial value.
     AdmissionController::Options admission;
 
     /// Per-modality circuit breakers keyed by (QueryKind, method).
@@ -156,14 +156,10 @@ class QueryService {
     CircuitBreaker::Options breaker;
 
     /// Brownout: when the requested method's breaker refuses, or the
-    /// remaining deadline budget is below the method's tracked latency
-    /// quantile, serve the cheaper surveyed method and flag the response
-    /// degraded instead of failing.
+    /// remaining deadline budget is below the method's tracked p95
+    /// execution latency, serve the cheaper surveyed method and flag the
+    /// response degraded instead of failing.
     bool enable_brownout = true;
-    double brownout_quantile = 0.95;
-    /// Minimum samples in a method's latency histogram before the budget
-    /// check trusts its quantile.
-    uint64_t brownout_min_samples = 32;
 
     bool enable_cache = true;
     ResultCache::Options cache;
@@ -294,7 +290,7 @@ class QueryService {
   HealthSnapshot Health();
 
   /// Queries admitted and not yet completed.
-  size_t pending() const { return pending_.load(std::memory_order_relaxed); }
+  size_t pending() const { return admission_->in_flight(); }
 
   MetricsRegistry& metrics() { return metrics_; }
   ResultCache& cache() { return cache_; }
@@ -325,8 +321,7 @@ class QueryService {
                     std::optional<uint64_t> key, const CancelToken* cancel,
                     std::chrono::steady_clock::time_point admitted);
   /// Completion shared by inline hits and pool-run queries: status
-  /// counters, per-kind latency, AIMD feedback, admission release and the
-  /// pending count.
+  /// counters, per-kind latency, AIMD feedback and admission release.
   QueryResponse Finish(QueryKind kind,
                        std::chrono::steady_clock::time_point admitted,
                        QueryResponse response);
@@ -342,6 +337,15 @@ class QueryService {
                      UnionMethod union_method, const std::string& modality,
                      const ExecContext& ctx, const CancelToken* cancel,
                      QueryResponse* response);
+  /// The optional tiers the served engine(s) built: the approximate sample
+  /// index, TUS, and the LSH Ensemble join index. Both approx_ok routing
+  /// and the brownout fallbacks decide from the pinned context's answer.
+  struct Tiers {
+    bool approx_join = false;
+    bool tus = false;
+    bool lsh_join = false;
+  };
+  static Tiers BuiltTiers(const ExecContext& ctx);
   /// The cheaper surveyed fallback for a modality, if the engine has it.
   struct Fallback {
     JoinMethod join_method;
@@ -357,9 +361,6 @@ class QueryService {
                       UnionMethod union_method, const CancelToken* cancel,
                       QueryResponse* response);
   void RecordMergeStats(const ingest::MergeStats& stats);
-  /// True when the served engine(s) built the approximate sample tier —
-  /// the admission-time gate for approx_ok routing.
-  bool ApproxAvailable() const;
   /// Harvests one approximate query's work accounting into the approx.*
   /// metrics (estimates, fallback/interval decisions, widths, samples).
   void RecordApproxStats(const approx::ApproxQueryStats& stats);
@@ -379,7 +380,6 @@ class QueryService {
   std::unique_ptr<AdmissionController> admission_;
   BreakerSet breakers_;
   std::atomic<uint64_t> epoch_{0};
-  std::atomic<size_t> pending_{0};
 
   // Hot-path metric handles (resolved once; the registry owns them).
   Counter* queries_admitted_;

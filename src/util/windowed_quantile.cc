@@ -1,8 +1,8 @@
 #include "util/windowed_quantile.h"
 
 #include <algorithm>
-#include <bit>
-#include <cmath>
+
+#include "util/log_buckets.h"
 
 namespace lake {
 
@@ -14,29 +14,6 @@ WindowedQuantile::WindowedQuantile(Options options) : options_(options) {
     options_.slice_width = std::chrono::milliseconds(1);
   }
   slices_.resize(options_.window_slices);
-}
-
-size_t WindowedQuantile::ValueBucket(uint64_t micros) {
-  if (micros < 8) return static_cast<size_t>(micros);
-  const int msb = 63 - std::countl_zero(micros);  // >= 3
-  const uint64_t sub = (micros >> (msb - 2)) & 3;
-  const size_t index = 8 + static_cast<size_t>(msb - 3) * 4 +
-                       static_cast<size_t>(sub);
-  return std::min(index, kValueBuckets - 1);
-}
-
-uint64_t WindowedQuantile::BucketLowerBound(size_t index) {
-  if (index < 8) return index;
-  const size_t octave = (index - 8) / 4;
-  const uint64_t sub = (index - 8) % 4;
-  const int msb = static_cast<int>(octave) + 3;
-  return (uint64_t{1} << msb) | (sub << (msb - 2));
-}
-
-uint64_t WindowedQuantile::BucketWidth(size_t index) {
-  if (index < 8) return 1;
-  const size_t octave = (index - 8) / 4;
-  return uint64_t{1} << (static_cast<int>(octave) + 1);
 }
 
 uint64_t WindowedQuantile::TickOf(Clock::time_point now) const {
@@ -55,34 +32,19 @@ void WindowedQuantile::Record(double micros, Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
   Slice& slice = slices_[tick % slices_.size()];
   if (slice.tick != tick) slice = Slice{tick, 0, {}};
-  ++slice.buckets[ValueBucket(clamped)];
+  ++slice.buckets[std::min(LogBucketIndex(clamped), kValueBuckets - 1)];
   ++slice.total;
 }
 
 double WindowedQuantile::Quantile(double q, Clock::time_point now) const {
-  q = std::clamp(q, 0.0, 1.0);
   const uint64_t tick = TickOf(now);
+  std::array<uint64_t, kValueBuckets> merged{};
   std::lock_guard<std::mutex> lock(mu_);
-  uint64_t total = 0;
   for (const Slice& slice : slices_) {
-    if (LiveAt(slice, tick)) total += slice.total;
+    if (!LiveAt(slice, tick)) continue;
+    for (size_t b = 0; b < kValueBuckets; ++b) merged[b] += slice.buckets[b];
   }
-  if (total == 0) return 0;
-  // Rank-select over the merged live slices; report the bucket midpoint.
-  const uint64_t rank = static_cast<uint64_t>(
-      std::min<double>(q * static_cast<double>(total - 1),
-                       static_cast<double>(total - 1)));
-  uint64_t seen = 0;
-  for (size_t b = 0; b < kValueBuckets; ++b) {
-    for (const Slice& slice : slices_) {
-      if (LiveAt(slice, tick)) seen += slice.buckets[b];
-    }
-    if (seen > rank) {
-      return static_cast<double>(BucketLowerBound(b)) +
-             static_cast<double>(BucketWidth(b)) / 2.0;
-    }
-  }
-  return static_cast<double>(BucketLowerBound(kValueBuckets - 1));
+  return LogBucketQuantile(merged, q);
 }
 
 uint64_t WindowedQuantile::count(Clock::time_point now) const {

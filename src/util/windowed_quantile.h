@@ -13,7 +13,7 @@ namespace lake {
 /// time-sliced log-scale histograms, and quantiles are computed only over
 /// the slices still inside the window, so a replica that was slow a
 /// minute ago but recovered stops *looking* slow as its old slices roll
-/// off. Value bucketing is HdrHistogram-style (2 sub-bucket bits):
+/// off. Values use the quarter-octave buckets of util/log_buckets.h:
 /// relative quantile error is bounded at ~12.5%, plenty for "is this
 /// replica 3x slower than its peers" decisions without per-sample
 /// allocation.
@@ -24,8 +24,8 @@ class WindowedQuantile {
  public:
   using Clock = std::chrono::steady_clock;
 
-  /// 8 exact buckets for 0..7, then 4 sub-buckets per power of two:
-  /// 128 slots cover ~2.3 hours in microseconds.
+  /// The first 128 log buckets cover ~2.3 hours in microseconds; larger
+  /// samples clamp into the last one.
   static constexpr size_t kValueBuckets = 128;
 
   struct Options {
@@ -59,10 +59,6 @@ class WindowedQuantile {
     uint64_t total = 0;
     std::array<uint32_t, kValueBuckets> buckets{};
   };
-
-  static size_t ValueBucket(uint64_t micros);
-  static uint64_t BucketLowerBound(size_t index);
-  static uint64_t BucketWidth(size_t index);
 
   uint64_t TickOf(Clock::time_point now) const;
   bool LiveAt(const Slice& slice, uint64_t tick) const;

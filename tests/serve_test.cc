@@ -527,6 +527,39 @@ TEST_F(QueryServiceTest, OverloadedWhenAdmissionQueueFull) {
             1u);
 }
 
+TEST_F(QueryServiceTest, HealthReportsTheAdaptiveLimitAndInFlightQueries) {
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+  QueryService::Options opts;
+  opts.num_workers = 1;
+  opts.max_pending = 8;
+  opts.pre_execute_hook = [&entered, release_future](const QueryRequest&) {
+    entered.set_value();
+    release_future.wait();
+  };
+  QueryService service(engine_, opts);
+
+  QueryService::HealthSnapshot health = service.Health();
+  EXPECT_EQ(health.admission_limit, service.admission().limit());
+  EXPECT_LE(health.admission_limit, opts.max_pending);
+  EXPECT_EQ(health.admission_in_flight, 0u);
+
+  // A query held in the hook occupies one admission slot until it ends.
+  Result<SubmittedQuery> held = service.Submit(JoinRequest());
+  ASSERT_TRUE(held.ok());
+  entered.get_future().wait();
+  health = service.Health();
+  EXPECT_EQ(health.admission_in_flight, 1u);
+  EXPECT_EQ(health.admission_limit, service.admission().limit());
+  EXPECT_EQ(service.metrics().GetGauge("serve.admission.in_flight")->value(),
+            1u);
+
+  release.set_value();
+  EXPECT_TRUE(held->response.get().status.ok());
+  EXPECT_EQ(service.Health().admission_in_flight, 0u);
+}
+
 TEST_F(QueryServiceTest, InvalidRequestsRejectedUpfront) {
   QueryService service(engine_, QueryService::Options{});
   QueryRequest empty_keyword;
@@ -678,8 +711,12 @@ TEST_F(QueryServiceTest, OneLookupAndOneHookPerQuery) {
     hooks.fetch_add(1, std::memory_order_relaxed);
   };
   QueryService service(engine_, opts);
+  // One warm entry makes hits independent of how fast the pool drains
+  // while the clients are still submitting.
+  ASSERT_TRUE(service.Execute(JoinRequest()).status.ok());
   constexpr int kPerThread = 48;
-  std::atomic<uint64_t> cacheable{0};
+  constexpr uint64_t kAdmitted = 2 * kPerThread + 1;
+  std::atomic<uint64_t> cacheable{1};
   auto client = [&](int offset) {
     std::vector<SubmittedQuery> inflight;
     for (int i = 0; i < kPerThread; ++i) {
@@ -721,9 +758,9 @@ TEST_F(QueryServiceTest, OneLookupAndOneHookPerQuery) {
             stats.hits);
   EXPECT_EQ(service.metrics().GetCounter("serve.cache.misses")->value(),
             stats.misses);
-  EXPECT_EQ(hooks.load(), 2u * kPerThread);
+  EXPECT_EQ(hooks.load(), kAdmitted);
   EXPECT_EQ(service.metrics().GetCounter("serve.queries.admitted")->value(),
-            2u * kPerThread);
+            kAdmitted);
   EXPECT_EQ(service.pending(), 0u);
 }
 
