@@ -469,8 +469,8 @@ int RunTailCell(const GeneratedLake& lake,
   tail_opts.tail.hedge_min_delay = std::chrono::milliseconds(1);
   tail_opts.tail.hedge_max_delay = std::chrono::milliseconds(
       std::max<uint64_t>(2, delay_ms / 4));
-  tail_opts.tail.eject_multiple = 3.0;
-  tail_opts.tail.eject_min_samples = 16;
+  tail_opts.tail.replica.eject_multiple = 3.0;
+  tail_opts.tail.replica.eject_min_samples = 16;
   ClusterEngine hedged(lake.catalog, tail_opts);
   arm_slow_replica();
   TailRun hedged_run = ReplayTail(hedged, topics, kTailWarmup, kTailQueries);

@@ -167,11 +167,11 @@ class ChaosEnv {
     // Short windows/backoffs so the state machines cycle within a run.
     opts.tail.enable_hedging = true;
     opts.tail.hedge_max_delay = milliseconds(20);
-    opts.tail.eject_multiple = 3.0;
-    opts.tail.eject_min_samples = 8;
-    opts.tail.eject_base = milliseconds(100);
-    opts.tail.eject_max = milliseconds(400);
-    opts.tail.latency_window.slice_width = milliseconds(250);
+    opts.tail.replica.eject_multiple = 3.0;
+    opts.tail.replica.eject_min_samples = 8;
+    opts.tail.replica.eject_base = milliseconds(100);
+    opts.tail.replica.eject_max = milliseconds(400);
+    opts.tail.replica.latency_window.slice_width = milliseconds(250);
     return opts;
   }
 

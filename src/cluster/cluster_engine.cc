@@ -661,7 +661,7 @@ ReplicaSet::Options ClusterEngine::ReplicaOptions(uint32_t shard) {
   ro.breaker = options_.breaker;
   ro.write_quorum = options_.write_quorum;
   ro.metrics = options_.metrics;
-  ro.tail = ReplicaTailOptions();
+  ro.tail = options_.tail.replica;
   if (!options_.store_root.empty()) {
     ro.replica_stores.reserve(ro.num_replicas);
     for (size_t r = 0; r < ro.num_replicas; ++r) {
@@ -669,18 +669,6 @@ ReplicaSet::Options ClusterEngine::ReplicaOptions(uint32_t shard) {
     }
   }
   return ro;
-}
-
-ReplicaSet::Options::Tail ClusterEngine::ReplicaTailOptions() const {
-  ReplicaSet::Options::Tail t;
-  t.latency_window = options_.tail.latency_window;
-  t.eject_multiple = options_.tail.eject_multiple;
-  t.eject_quantile = options_.tail.eject_quantile;
-  t.eject_min_samples = options_.tail.eject_min_samples;
-  t.eject_base = options_.tail.eject_base;
-  t.eject_max = options_.tail.eject_max;
-  t.eject_probes = options_.tail.eject_probes;
-  return t;
 }
 
 TailContext ClusterEngine::TailCtx() const {
@@ -833,7 +821,7 @@ Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Recover(
     ro.breaker = cluster->options_.breaker;
     ro.write_quorum = cluster->options_.write_quorum;
     ro.metrics = cluster->options_.metrics;
-    ro.tail = cluster->ReplicaTailOptions();
+    ro.tail = cluster->options_.tail.replica;
     topo->shards.push_back(std::make_shared<ReplicaSet>(
         id, std::move(replicas), std::move(ro)));
   }

@@ -17,7 +17,6 @@
 #include "serve/metrics.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
-#include "util/windowed_quantile.h"
 
 namespace lake::cluster {
 
@@ -175,16 +174,10 @@ class ClusterEngine {
       uint64_t budget_min_tokens = 10;
       size_t budget_window_slices = 8;
       std::chrono::milliseconds budget_slice_width{1000};
-      /// Slow-outlier ejection knobs, forwarded to every ReplicaSet
-      /// (see ReplicaSet::Options::Tail). 0 disables ejection.
-      double eject_multiple = 0;
-      double eject_quantile = 0.95;
-      uint64_t eject_min_samples = 32;
-      std::chrono::milliseconds eject_base{1000};
-      std::chrono::milliseconds eject_max{8000};
-      size_t eject_probes = 3;
-      /// Per-replica latency window shape, forwarded to every ReplicaSet.
-      WindowedQuantile::Options latency_window;
+      /// Per-replica latency window shape and slow-outlier ejection
+      /// knobs, passed to every ReplicaSet as is. Ejection is off by
+      /// default (eject_multiple 0).
+      ReplicaSet::Options::Tail replica;
     };
     Tail tail;
   };
@@ -425,8 +418,6 @@ class ClusterEngine {
   store::SnapshotStore* StoreFor(uint32_t shard, size_t replica);
 
   ReplicaSet::Options ReplicaOptions(uint32_t shard);
-  /// Tail knobs forwarded into every ReplicaSet (both build paths).
-  ReplicaSet::Options::Tail ReplicaTailOptions() const;
   /// Snapshot of the tail-tolerance state one scattered query carries.
   TailContext TailCtx() const;
   void InitMetrics();

@@ -152,11 +152,4 @@ Result<std::vector<uint64_t>> LshEnsemble::Query(const MinHashSignature& query,
   return out;
 }
 
-std::vector<size_t> LshEnsemble::PartitionUpperBounds() const {
-  std::vector<size_t> out;
-  out.reserve(partitions_.size());
-  for (const Partition& p : partitions_) out.push_back(p.upper);
-  return out;
-}
-
 }  // namespace lake

@@ -54,9 +54,6 @@ class LshEnsemble {
   bool built() const { return built_; }
   size_t num_partitions() const { return partitions_.size(); }
 
-  /// Upper cardinality bound of each partition (diagnostics/benchmarks).
-  std::vector<size_t> PartitionUpperBounds() const;
-
  private:
   struct Entry {
     uint64_t id;

@@ -896,32 +896,12 @@ Result<std::unique_ptr<LiveEngine>> LiveEngine::Recover(
   rep.tables_loaded = loaded.size();
 
   // Base indexes: prefer the persisted sections (skips the O(lake)
-  // build); a section that is missing, corrupt, or fails validation
-  // forces a fresh build of ALL base indexes from the loaded tables, so
-  // the recovered base is never quarantined or degraded.
-  DiscoveryEngine::Options deferred = options.base_options;
-  deferred.defer_index_build = true;
-  auto engine = std::make_unique<DiscoveryEngine>(catalog.get(), options.kb,
-                                                  deferred);
-  bool all_sections_loaded = true;
-  for (const std::string& section : engine->PendingIndexSections()) {
-    Result<std::string> payload = reader.ReadSection(section);
-    Status status = payload.ok()
-                        ? engine->LoadIndexSection(section, payload.value())
-                        : payload.status();
-    if (status.ok()) {
-      ++rep.index_sections_loaded;
-    } else {
-      LAKE_LOG(Warning) << "index section " << section
-                        << " unusable, rebuilding: " << status.ToString();
-      ++rep.index_sections_rebuilt;
-      all_sections_loaded = false;
-    }
-  }
-  if (!all_sections_loaded) {
-    engine = std::make_unique<DiscoveryEngine>(catalog.get(), options.kb,
-                                               options.base_options);
-  }
+  // build); a section that is missing, corrupt, or fails validation makes
+  // Restore build both from the loaded tables, so the recovered base is
+  // never degraded.
+  std::unique_ptr<DiscoveryEngine> engine = DiscoveryEngine::Restore(
+      catalog.get(), options.kb, options.base_options, reader,
+      &rep.index_sections_loaded, &rep.index_sections_rebuilt);
 
   auto live = std::unique_ptr<LiveEngine>(
       new LiveEngine(catalog, std::shared_ptr<const DiscoveryEngine>(

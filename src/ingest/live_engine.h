@@ -203,8 +203,10 @@ class LiveEngine {
   struct RecoveryReport {
     uint64_t snapshot_generation = 0;
     size_t tables_loaded = 0;
+    /// Base index sections the recovered engine serves from the snapshot
+    /// and those it built from the tables instead. All or nothing (see
+    /// DiscoveryEngine::Restore): one bad section rebuilds every one.
     size_t index_sections_loaded = 0;
-    /// Base index sections that failed to load and forced a fresh build.
     size_t index_sections_rebuilt = 0;
     size_t deltas_replayed = 0;
     size_t deltas_dropped = 0;
@@ -220,11 +222,12 @@ class LiveEngine {
   };
 
   /// Rebuilds a LiveEngine from the newest committed snapshot generation:
-  /// loads the base catalog and index sections from one envelope (a
-  /// section that fails its CRC or validation forces a fresh base index
-  /// build from the loaded tables — recovery never serves a quarantined
-  /// base), then replays the persisted delta tables and tombstones;
-  /// corrupt delta sections are dropped, costing staleness, not startup.
+  /// loads the base catalog from one envelope and restores the base engine
+  /// from the same envelope through DiscoveryEngine::Restore (a section
+  /// that fails its CRC or validation rebuilds the persistable indexes
+  /// from the loaded tables — recovery never serves a degraded base), then
+  /// replays the persisted delta tables and tombstones; corrupt delta
+  /// sections are dropped, costing staleness, not startup.
   /// Pre-ingest (PR 2 era) snapshots without ingest sections recover to
   /// an empty delta.
   static Result<std::unique_ptr<LiveEngine>> Recover(

@@ -1,11 +1,28 @@
 #include "search/discovery_engine.h"
 
+#include "util/logging.h"
 #include "util/string_util.h"
 
 namespace lake {
 
+std::unique_ptr<DiscoveryEngine> DiscoveryEngine::Restore(
+    const DataLakeCatalog* catalog, const KnowledgeBase* kb, Options options,
+    const store::SnapshotReader& snapshot, size_t* sections_loaded,
+    size_t* sections_rebuilt) {
+  size_t loaded = 0;
+  auto engine = std::unique_ptr<DiscoveryEngine>(
+      new DiscoveryEngine(catalog, kb, options, &snapshot, &loaded));
+  const size_t enabled = (options.build_josie ? 1 : 0) +
+                         (options.build_starmie ? 1 : 0);
+  if (sections_loaded != nullptr) *sections_loaded = loaded;
+  if (sections_rebuilt != nullptr) *sections_rebuilt = enabled - loaded;
+  return engine;
+}
+
 DiscoveryEngine::DiscoveryEngine(const DataLakeCatalog* catalog,
-                                 const KnowledgeBase* kb, Options options)
+                                 const KnowledgeBase* kb, Options options,
+                                 const store::SnapshotReader* snapshot,
+                                 size_t* sections_loaded)
     : catalog_(catalog),
       options_(options),
       words_(WordEmbedding::Options{.dim = options.embedding_dim}),
@@ -16,6 +33,7 @@ DiscoveryEngine::DiscoveryEngine(const DataLakeCatalog* catalog,
   if (options_.synthesize_kb) {
     KbSynthesizer().AugmentInPlace(*catalog_, &kb_);
   }
+  if (snapshot != nullptr) *sections_loaded = RestoreIndexes(*snapshot);
 
   if (options_.build_keyword) {
     keyword_ = std::make_unique<KeywordSearchEngine>(catalog_);
@@ -26,7 +44,7 @@ DiscoveryEngine::DiscoveryEngine(const DataLakeCatalog* catalog,
   if (options_.build_lsh_join) {
     lsh_join_ = std::make_unique<LshEnsembleJoinSearch>(catalog_);
   }
-  if (options_.build_josie && !options_.defer_index_build) {
+  if (options_.build_josie && josie_ == nullptr) {
     josie_ = std::make_unique<JosieJoinSearch>(catalog_);
   }
   if (options_.build_approx) {
@@ -47,7 +65,7 @@ DiscoveryEngine::DiscoveryEngine(const DataLakeCatalog* catalog,
   if (options_.build_santos) {
     santos_ = std::make_unique<SantosUnionSearch>(catalog_, &kb_);
   }
-  if (options_.build_starmie && !options_.defer_index_build) {
+  if (options_.build_starmie && starmie_ == nullptr) {
     starmie_ =
         std::make_unique<StarmieUnionSearch>(catalog_, &contextual_encoder_);
   }
@@ -93,34 +111,35 @@ Status DiscoveryEngine::SaveIndexSections(
   return Status::OK();
 }
 
-std::vector<std::string> DiscoveryEngine::PendingIndexSections() const {
-  std::vector<std::string> pending;
-  if (options_.build_josie && josie_ == nullptr) {
-    pending.push_back(kJosieSection);
-  }
-  if (options_.build_starmie && starmie_ == nullptr) {
-    pending.push_back(kStarmieSection);
-  }
-  return pending;
-}
-
-Status DiscoveryEngine::LoadIndexSection(const std::string& name,
-                                         const std::string& payload) {
-  if (name == kJosieSection) {
-    LAKE_ASSIGN_OR_RETURN(std::unique_ptr<JosieJoinSearch> loaded,
-                          JosieJoinSearch::FromSnapshot(catalog_, payload));
-    josie_ = std::move(loaded);
+size_t DiscoveryEngine::RestoreIndexes(
+    const store::SnapshotReader& snapshot) {
+  std::unique_ptr<JosieJoinSearch> josie;
+  std::unique_ptr<StarmieUnionSearch> starmie;
+  auto load = [&]() -> Status {
+    if (options_.build_josie) {
+      LAKE_ASSIGN_OR_RETURN(std::string payload,
+                            snapshot.ReadSection(kJosieSection));
+      LAKE_ASSIGN_OR_RETURN(josie,
+                            JosieJoinSearch::FromSnapshot(catalog_, payload));
+    }
+    if (options_.build_starmie) {
+      LAKE_ASSIGN_OR_RETURN(std::string payload,
+                            snapshot.ReadSection(kStarmieSection));
+      LAKE_ASSIGN_OR_RETURN(
+          starmie, StarmieUnionSearch::FromSnapshot(
+                       catalog_, &contextual_encoder_, payload));
+    }
     return Status::OK();
+  };
+  const Status status = load();
+  if (!status.ok()) {
+    LAKE_LOG(Warning) << "index sections unusable, rebuilding: "
+                      << status.ToString();
+    return 0;
   }
-  if (name == kStarmieSection) {
-    LAKE_ASSIGN_OR_RETURN(
-        std::unique_ptr<StarmieUnionSearch> loaded,
-        StarmieUnionSearch::FromSnapshot(catalog_, &contextual_encoder_,
-                                         payload));
-    starmie_ = std::move(loaded);
-    return Status::OK();
-  }
-  return Status::NotFound("unknown index section: " + name);
+  josie_ = std::move(josie);
+  starmie_ = std::move(starmie);
+  return (josie_ != nullptr ? 1 : 0) + (starmie_ != nullptr ? 1 : 0);
 }
 
 Result<DiscoveryEngine::AutoJoinResult> DiscoveryEngine::JoinableAuto(

@@ -52,8 +52,8 @@ enum class UnionMethod {
 /// End-to-end table discovery system over one catalog — the green boxes of
 /// the survey's Figure 1 wired together: table understanding (embeddings +
 /// KB) feeds indexing, which serves keyword, joinable, unionable, and
-/// correlated search. Construction builds every enabled index; queries are
-/// then read-only and cheap.
+/// correlated search. Construction (or Restore) builds every enabled index;
+/// the engine is immutable afterwards, and queries are read-only and cheap.
 class DiscoveryEngine {
  public:
   struct Options {
@@ -80,12 +80,6 @@ class DiscoveryEngine {
     bool train_annotator = true;
     /// Minimum KB coverage for a column to become a training example.
     double annotator_min_coverage = 0.5;
-    /// Leaves the snapshot-capable indexes (JOSIE, Starmie) unbuilt so a
-    /// server can restore them from a SnapshotStore via LoadIndexSection
-    /// instead of paying the O(lake) build. Sections that fail to load
-    /// stay null and their query methods return FailedPrecondition — the
-    /// engine serves degraded rather than not at all.
-    bool defer_index_build = false;
   };
 
   /// `kb` is an optional curated knowledge base; the engine copies it and,
@@ -93,7 +87,22 @@ class DiscoveryEngine {
   explicit DiscoveryEngine(const DataLakeCatalog* catalog)
       : DiscoveryEngine(catalog, nullptr, Options{}) {}
   DiscoveryEngine(const DataLakeCatalog* catalog, const KnowledgeBase* kb,
-                  Options options);
+                  Options options)
+      : DiscoveryEngine(catalog, kb, options, nullptr, nullptr) {}
+
+  /// Builds an engine whose persistable indexes (JOSIE, Starmie HNSW) come
+  /// from `snapshot` instead of an O(lake) build; every other modality is
+  /// built once, as by the constructor. All or nothing: the sections load
+  /// only if every enabled one reads, passes its CRC and validates against
+  /// `catalog`; otherwise both are built from the catalog, so a restored
+  /// engine never mixes a snapshot index with a rebuilt sibling.
+  /// `sections_loaded` / `sections_rebuilt` (optional) receive what the
+  /// engine actually serves: all enabled sections on one side, 0 on the
+  /// other.
+  static std::unique_ptr<DiscoveryEngine> Restore(
+      const DataLakeCatalog* catalog, const KnowledgeBase* kb,
+      Options options, const store::SnapshotReader& snapshot,
+      size_t* sections_loaded = nullptr, size_t* sections_rebuilt = nullptr);
 
   // --- Convenience query API -------------------------------------------
 
@@ -170,19 +179,9 @@ class DiscoveryEngine {
   static constexpr const char* kStarmieSection = "index/starmie.hnsw";
 
   /// Adds one checksummed section per built persistable index (JOSIE,
-  /// Starmie HNSW) to `snapshot`; commit through a SnapshotStore.
+  /// Starmie HNSW) to `snapshot`; commit through a SnapshotStore. Restore
+  /// reads them back.
   Status SaveIndexSections(store::SnapshotWriter* snapshot) const;
-
-  /// Sections that are enabled by Options but not currently loaded —
-  /// what a RecoveryManager should Register after a deferred build.
-  std::vector<std::string> PendingIndexSections() const;
-
-  /// Restores one index from a CRC-verified section payload. Validates
-  /// the payload against this engine's catalog/encoder; on failure the
-  /// modality stays null (queries keep returning FailedPrecondition) and
-  /// the engine is otherwise untouched. Must not run concurrently with
-  /// queries.
-  Status LoadIndexSection(const std::string& name, const std::string& payload);
 
   // --- Component access (benchmarks, tests, advanced callers) ----------
 
@@ -213,6 +212,16 @@ class DiscoveryEngine {
   const D3lUnionSearch* d3l() const { return d3l_.get(); }
 
  private:
+  /// Shared by the public constructor (`snapshot` null) and Restore,
+  /// which passes `sections_loaded`.
+  DiscoveryEngine(const DataLakeCatalog* catalog, const KnowledgeBase* kb,
+                  Options options, const store::SnapshotReader* snapshot,
+                  size_t* sections_loaded);
+
+  /// Loads every enabled persistable index from `snapshot`, or none:
+  /// returns how many it loaded (0 when any one fails).
+  size_t RestoreIndexes(const store::SnapshotReader& snapshot);
+
   const DataLakeCatalog* catalog_;
   Options options_;
   WordEmbedding words_;

@@ -36,22 +36,6 @@ LshEnsembleJoinSearch::LshEnsembleJoinSearch(const DataLakeCatalog* catalog,
   LAKE_CHECK(ensemble_.Build().ok());
 }
 
-Result<std::vector<size_t>> LshEnsembleJoinSearch::Candidates(
-    const std::vector<std::string>& query_values, double threshold) const {
-  std::vector<std::string> norm;
-  norm.reserve(query_values.size());
-  for (const std::string& v : query_values) {
-    std::string nv = NormalizeValue(v);
-    if (!nv.empty()) norm.push_back(std::move(nv));
-  }
-  const MinHashSignature sig =
-      MinHashSignature::Build(norm, options_.num_hashes);
-  const HashedSet qset = HashedSet::FromValues(norm);
-  LAKE_ASSIGN_OR_RETURN(std::vector<uint64_t> ids,
-                        ensemble_.Query(sig, qset.size(), threshold));
-  return std::vector<size_t>(ids.begin(), ids.end());
-}
-
 Result<std::vector<ColumnResult>> LshEnsembleJoinSearch::Search(
     const std::vector<std::string>& query_values, double threshold,
     size_t k, const CancelToken* cancel) const {

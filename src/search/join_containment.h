@@ -40,11 +40,6 @@ class LshEnsembleJoinSearch {
       const std::vector<std::string>& query_values, double threshold,
       size_t k, const CancelToken* cancel = nullptr) const;
 
-  /// Raw candidate column indices from the ensemble (benchmarks measure
-  /// recall/precision of this set directly).
-  Result<std::vector<size_t>> Candidates(
-      const std::vector<std::string>& query_values, double threshold) const;
-
   size_t num_indexed_columns() const { return refs_.size(); }
   const std::vector<ColumnRef>& indexed_columns() const { return refs_; }
   const LshEnsemble& ensemble() const { return ensemble_; }

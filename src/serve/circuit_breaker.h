@@ -18,7 +18,7 @@ namespace lake::serve {
 /// recent window crosses the threshold *trips*: calls are refused
 /// instantly (the serving layer answers kUnavailable or browns out to a
 /// cheaper method) instead of feeding more pool threads into a hung or
-/// quarantined index. After a capped exponential backoff the breaker goes
+/// unbuilt index. After a capped exponential backoff the breaker goes
 /// half-open and admits a bounded number of probe calls; enough probe
 /// successes close it, one probe failure reopens it with a longer backoff.
 ///

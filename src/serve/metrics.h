@@ -27,7 +27,7 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins level metric (degraded flag, quarantine depth, queue
+/// Last-write-wins level metric (degraded flag, admission limit, queue
 /// length). Set/value are lock-free.
 class Gauge {
  public:

@@ -123,8 +123,8 @@ std::string ModalityNameFor(QueryKind kind, JoinMethod join_method,
 }
 
 /// Should this outcome count against the modality's circuit breaker?
-/// Timeouts, internal/I/O errors, and an unbuilt or quarantined index all
-/// mean the modality cannot currently serve. Cancellation is the caller's
+/// Timeouts, internal/I/O errors, and an unbuilt index all mean the
+/// modality cannot currently serve. Cancellation is the caller's
 /// choice and says nothing about the dependency.
 bool BreakerFailure(const Status& status) {
   switch (status.code()) {
@@ -201,7 +201,6 @@ QueryService::QueryService(const DiscoveryEngine* engine, Options options)
       brownout_join_(metrics_.GetCounter("serve.brownout.join")),
       breaker_fast_fail_(metrics_.GetCounter("serve.breaker.fast_fail")),
       degraded_gauge_(metrics_.GetGauge("serve.degraded")),
-      quarantined_gauge_(metrics_.GetGauge("serve.quarantined_sections")),
       admission_limit_gauge_(metrics_.GetGauge("serve.admission.limit")),
       admission_in_flight_gauge_(
           metrics_.GetGauge("serve.admission.in_flight")),
@@ -505,13 +504,6 @@ void QueryService::RecordMergeStats(const ingest::MergeStats& stats) {
 
 QueryService::HealthSnapshot QueryService::Health() {
   HealthSnapshot health;
-  if (options_.recovery != nullptr) {
-    health.degraded = options_.recovery->degraded();
-    health.quarantined = options_.recovery->quarantined();
-    health.sections_loaded = options_.recovery->sections_loaded();
-    health.recovered_generation = options_.recovery->recovered_generation();
-  }
-
   health.admission_limit = admission_->limit();
   health.admission_in_flight = admission_->in_flight();
 
@@ -561,7 +553,6 @@ QueryService::HealthSnapshot QueryService::Health() {
 
   health.ok = !health.degraded && health.open_breakers == 0;
   degraded_gauge_->Set(health.degraded ? 1 : 0);
-  quarantined_gauge_->Set(health.quarantined.size());
   admission_limit_gauge_->Set(health.admission_limit);
   admission_in_flight_gauge_->Set(health.admission_in_flight);
   breakers_open_gauge_->Set(health.open_breakers);
@@ -804,7 +795,7 @@ void QueryService::ExecutePlan(const QueryRequest& request,
   RecordOutcome(breaker, response->status, Clock::now());
 
   // Failure brownout: the primary failed for a breaker-worthy reason
-  // (hung past a timeout, internal error, quarantined index) and there is
+  // (hung past a timeout, internal error, unbuilt index) and there is
   // budget left — answer with the cheap method rather than the error.
   if (!response->status.ok() && BreakerFailure(response->status) &&
       cancel->Remaining() > std::chrono::nanoseconds::zero()) {

@@ -18,7 +18,6 @@
 #include "serve/circuit_breaker.h"
 #include "serve/metrics.h"
 #include "serve/result_cache.h"
-#include "store/recovery.h"
 #include "util/cancel.h"
 #include "util/thread_pool.h"
 
@@ -169,11 +168,6 @@ class QueryService {
     /// cache hit, on the worker thread after dequeue (before the engine
     /// executes) for everything else.
     std::function<void(const QueryRequest&)> pre_execute_hook;
-    /// Recovery state of the engine's snapshot-loaded indexes (not owned;
-    /// may be null). When set, Health() reports degraded-mode status and
-    /// keeps the serve.degraded / serve.quarantined_sections gauges
-    /// current.
-    store::RecoveryManager* recovery = nullptr;
   };
 
   /// Serves a frozen engine (not owned; it must outlive the service),
@@ -241,16 +235,14 @@ class QueryService {
     uint64_t trips = 0;
   };
 
-  /// Service health: degraded-mode recovery state plus overload state —
-  /// which breakers are open, the live admission limit, and in-flight
-  /// count. `ok` means every snapshot section loaded AND every breaker is
-  /// closed.
+  /// Service health: overload state — which breakers are open, the live
+  /// admission limit, and in-flight count — plus, per serving mode, WAL and
+  /// shard state. `ok` means no breaker is open and the service is not
+  /// degraded (only cluster mode sets `degraded`: a shard with no serving
+  /// replica).
   struct HealthSnapshot {
     bool ok = true;
     bool degraded = false;
-    uint64_t sections_loaded = 0;
-    uint64_t recovered_generation = 0;
-    std::vector<store::RecoveryManager::QuarantineEntry> quarantined;
 
     size_t admission_limit = 0;
     size_t admission_in_flight = 0;
@@ -284,7 +276,7 @@ class QueryService {
   };
 
   /// Snapshot of health state; also refreshes the serve.degraded,
-  /// serve.quarantined_sections, serve.admission.*, serve.breakers.open
+  /// serve.admission.*, serve.breakers.open
   /// and per-breaker state gauges, so exporting metrics after Health()
   /// reflects the current picture.
   HealthSnapshot Health();
@@ -398,7 +390,6 @@ class QueryService {
   Counter* brownout_join_;
   Counter* breaker_fast_fail_;
   Gauge* degraded_gauge_;
-  Gauge* quarantined_gauge_;
   Gauge* admission_limit_gauge_;
   Gauge* admission_in_flight_gauge_;
   Gauge* breakers_open_gauge_;

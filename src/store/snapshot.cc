@@ -398,11 +398,4 @@ Result<SnapshotStore::Opened> SnapshotStore::OpenLatest() const {
   return Status::NotFound("no committed snapshot in " + dir_);
 }
 
-Result<SnapshotStore::Opened> SnapshotStore::OpenGeneration(
-    uint64_t generation) const {
-  LAKE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                        SnapshotReader::OpenFile(SnapshotPath(generation)));
-  return Opened{generation, std::move(reader)};
-}
-
 }  // namespace lake::store

@@ -151,9 +151,6 @@ class SnapshotStore {
   /// no generation is recoverable.
   Result<Opened> OpenLatest() const;
 
-  /// A specific retained generation.
-  Result<Opened> OpenGeneration(uint64_t generation) const;
-
   /// Retained generations per the MANIFEST (directory scan fallback),
   /// ascending. Entries are not validated beyond listing.
   std::vector<uint64_t> Generations() const;

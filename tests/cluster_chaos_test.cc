@@ -185,7 +185,9 @@ TEST_F(ClusterChaosTest, DeadShardDegradesInsteadOfFailing) {
 
   // Kill the other shards too: with nobody left the query finally errors.
   for (uint32_t s = 0; s < 3; ++s) {
-    if (s != victim) ASSERT_TRUE(cluster.KillReplica(s, 0).ok());
+    if (s != victim) {
+      ASSERT_TRUE(cluster.KillReplica(s, 0).ok());
+    }
   }
   const TableQueryResponse none = cluster.Keyword(topic, FullK());
   EXPECT_FALSE(none.status.ok());

@@ -422,8 +422,8 @@ TEST_F(ReplicaSetTailTest, PickFallsBackToEjectedReplicaAsLastResort) {
 
 TEST_F(ClusterTailTest, HealthExportsLatencyAndEjectionState) {
   ClusterEngine::Options opts = ClusterOptions(1, /*replicas=*/2);
-  opts.tail.eject_multiple = 3.0;
-  opts.tail.eject_min_samples = 8;
+  opts.tail.replica.eject_multiple = 3.0;
+  opts.tail.replica.eject_min_samples = 8;
   serve::MetricsRegistry metrics;
   opts.metrics = &metrics;
   ClusterEngine cluster(lake(), opts);

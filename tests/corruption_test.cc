@@ -1,23 +1,24 @@
-// Corruption sweeps and end-to-end degraded-mode serving: every single-byte
+// Corruption sweeps and end-to-end index restore: every single-byte
 // corruption or truncation of a persisted index must surface as a non-OK
 // Status (or load an equivalent index when the damaged byte is outside any
-// verified region) — never a crash — and a service whose snapshot sections
-// are partly corrupt must keep serving the healthy modalities.
+// verified region) — never a crash — and an engine restored from a store
+// whose index sections are partly corrupt must rebuild them from the
+// tables and answer exactly like a cold build.
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "index/hnsw.h"
 #include "index/josie.h"
+#include "ingest/live_engine.h"
 #include "lakegen/generator.h"
 #include "search/discovery_engine.h"
-#include "serve/query_service.h"
-#include "store/recovery.h"
 #include "store/snapshot.h"
 #include "util/failpoint.h"
 
@@ -209,11 +210,25 @@ TEST(CorruptionSweepTest, JosieEveryByteFlipAndTruncation) {
   }
 }
 
-// --------------------------------------------- degraded-mode end-to-end
+// --------------------------------------------------- restore end-to-end
 
-/// Small generated lake + fully-built engine shared by the degraded-mode
-/// tests. The built engine is the "writer" process; each test constructs
-/// its own deferred "reader" engine that restores from a SnapshotStore.
+template <typename Hit>
+void ExpectSameResults(const std::vector<Hit>& got,
+                       const std::vector<Hit>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    if constexpr (std::is_same_v<Hit, ColumnResult>) {
+      EXPECT_EQ(got[i].column, want[i].column) << "rank " << i;
+    } else {
+      EXPECT_EQ(got[i].table_id, want[i].table_id) << "rank " << i;
+    }
+    EXPECT_DOUBLE_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
+}
+
+/// Small generated lake + fully-built engine shared by the restore tests.
+/// The built engine is the "writer" process; each test restores its own
+/// "reader" engine from a SnapshotStore.
 class DegradedServingTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -226,7 +241,7 @@ class DegradedServingTest : public ::testing::Test {
     opts.max_rows = 60;
     lake_ = new GeneratedLake(LakeGenerator(opts).Generate());
     writer_engine_ =
-        new DiscoveryEngine(&lake_->catalog, &lake_->kb, EngineOptions(false));
+        new DiscoveryEngine(&lake_->catalog, &lake_->kb, EngineOptions());
   }
 
   static void TearDownTestSuite() {
@@ -238,12 +253,12 @@ class DegradedServingTest : public ::testing::Test {
 
   void TearDown() override { FailpointRegistry::Instance().ClearAll(); }
 
-  static DiscoveryEngine::Options EngineOptions(bool defer) {
+  /// Keyword, JOSIE and Starmie only: the persistable indexes plus one
+  /// modality that is always built from the tables.
+  static DiscoveryEngine::Options EngineOptions() {
     DiscoveryEngine::Options eopts;
     eopts.build_exact_join = false;
     eopts.build_lsh_join = false;
-    // No approx tier either: ServesDegradedThenRecovers needs a join
-    // modality with no brownout fallback at all.
     eopts.build_approx = false;
     eopts.build_pexeso = false;
     eopts.build_mate = false;
@@ -253,7 +268,6 @@ class DegradedServingTest : public ::testing::Test {
     eopts.build_d3l = false;
     eopts.synthesize_kb = false;
     eopts.train_annotator = false;
-    eopts.defer_index_build = defer;
     return eopts;
   }
 
@@ -284,14 +298,28 @@ class DegradedServingTest : public ::testing::Test {
     FAIL() << "section " << section << " not found in " << path;
   }
 
-  static serve::QueryRequest JoinRequest() {
-    serve::QueryRequest req;
-    req.kind = serve::QueryKind::kJoin;
-    req.join_method = JoinMethod::kJosie;
-    req.values = lake_->catalog.table(0).column(0).DistinctStrings();
-    req.k = 5;
-    req.bypass_cache = true;
-    return req;
+  /// `engine` answers keyword, JOSIE-join and Starmie-union queries
+  /// exactly like the writer engine.
+  static void ExpectAnswersLikeWriter(const DiscoveryEngine& engine) {
+    const std::string keyword = lake_->topic_of[0];
+    ExpectSameResults(engine.Keyword(keyword, 5),
+                      writer_engine_->Keyword(keyword, 5));
+
+    const auto values = lake_->catalog.table(0).column(0).DistinctStrings();
+    const auto join = engine.Joinable(values, JoinMethod::kJosie, 5);
+    const auto want_join =
+        writer_engine_->Joinable(values, JoinMethod::kJosie, 5);
+    ASSERT_TRUE(join.ok()) << join.status().ToString();
+    ASSERT_TRUE(want_join.ok());
+    ExpectSameResults(*join, *want_join);
+
+    const Table& query = lake_->catalog.table(1);
+    const auto unioned = engine.Unionable(query, UnionMethod::kStarmie, 5, 1);
+    const auto want_union =
+        writer_engine_->Unionable(query, UnionMethod::kStarmie, 5, 1);
+    ASSERT_TRUE(unioned.ok()) << unioned.status().ToString();
+    ASSERT_TRUE(want_union.ok());
+    ExpectSameResults(*unioned, *want_union);
   }
 
   static GeneratedLake* lake_;
@@ -301,40 +329,22 @@ class DegradedServingTest : public ::testing::Test {
 GeneratedLake* DegradedServingTest::lake_ = nullptr;
 DiscoveryEngine* DegradedServingTest::writer_engine_ = nullptr;
 
-TEST_F(DegradedServingTest, DeferredEngineRestoresFromSnapshot) {
+TEST_F(DegradedServingTest, RestoresIndexesFromCleanSnapshot) {
   const std::string dir = TestDir("restore");
   store::SnapshotStore store(dir);
   CommitIndexes(&store);
+  auto opened = store.OpenLatest();
+  ASSERT_TRUE(opened.ok());
 
-  DiscoveryEngine engine(&lake_->catalog, &lake_->kb, EngineOptions(true));
-  EXPECT_EQ(engine.josie_join(), nullptr);
-  EXPECT_EQ(engine.starmie(), nullptr);
-  EXPECT_EQ(engine.PendingIndexSections(),
-            (std::vector<std::string>{DiscoveryEngine::kJosieSection,
-                                      DiscoveryEngine::kStarmieSection}));
-
-  store::RecoveryManager recovery(&store);
-  for (const std::string& section : engine.PendingIndexSections()) {
-    recovery.Register(section, [&engine, section](const std::string& payload) {
-      return engine.LoadIndexSection(section, payload);
-    });
-  }
-  ASSERT_TRUE(recovery.RecoverAll().ok());
-  ASSERT_NE(engine.josie_join(), nullptr);
-  ASSERT_NE(engine.starmie(), nullptr);
-
+  size_t loaded = 0, rebuilt = 0;
+  std::unique_ptr<DiscoveryEngine> engine = DiscoveryEngine::Restore(
+      &lake_->catalog, &lake_->kb, EngineOptions(), opened->reader, &loaded,
+      &rebuilt);
+  EXPECT_EQ(loaded, 2u);
+  EXPECT_EQ(rebuilt, 0u);
   // The restored engine answers exactly like the engine that built the
   // indexes from scratch.
-  const auto query = lake_->catalog.table(0).column(0).DistinctStrings();
-  const auto direct = writer_engine_->Joinable(query, JoinMethod::kJosie, 5);
-  const auto restored = engine.Joinable(query, JoinMethod::kJosie, 5);
-  ASSERT_TRUE(direct.ok());
-  ASSERT_TRUE(restored.ok());
-  ASSERT_EQ(restored->size(), direct->size());
-  for (size_t i = 0; i < direct->size(); ++i) {
-    EXPECT_EQ((*restored)[i].column, (*direct)[i].column);
-    EXPECT_DOUBLE_EQ((*restored)[i].score, (*direct)[i].score);
-  }
+  ExpectAnswersLikeWriter(*engine);
 }
 
 TEST_F(DegradedServingTest, KillDuringSaveRecoversPreviousGeneration) {
@@ -358,103 +368,44 @@ TEST_F(DegradedServingTest, KillDuringSaveRecoversPreviousGeneration) {
     EXPECT_FALSE(store.Commit(snapshot).ok());
   }
 
-  // Recovery still restores every index from the surviving generation.
+  // Restore still loads every index from the surviving generation.
   auto opened = store.OpenLatest();
   ASSERT_TRUE(opened.ok());
   EXPECT_EQ(opened->generation, gen1);
 
-  DiscoveryEngine engine(&lake_->catalog, &lake_->kb, EngineOptions(true));
-  store::RecoveryManager recovery(&store);
-  for (const std::string& section : engine.PendingIndexSections()) {
-    recovery.Register(section, [&engine, section](const std::string& payload) {
-      return engine.LoadIndexSection(section, payload);
-    });
-  }
-  EXPECT_TRUE(recovery.RecoverAll().ok());
-  EXPECT_FALSE(recovery.degraded());
-  EXPECT_EQ(recovery.recovered_generation(), gen1);
+  size_t loaded = 0, rebuilt = 0;
+  std::unique_ptr<DiscoveryEngine> engine = DiscoveryEngine::Restore(
+      &lake_->catalog, &lake_->kb, EngineOptions(), opened->reader, &loaded,
+      &rebuilt);
+  EXPECT_EQ(loaded, 2u);
+  EXPECT_EQ(rebuilt, 0u);
+  ExpectAnswersLikeWriter(*engine);
 }
 
-TEST_F(DegradedServingTest, ServesDegradedThenRecovers) {
-  const std::string dir = TestDir("degraded");
+TEST_F(DegradedServingTest, CorruptIndexSectionRebuildsEveryIndexOnRecover) {
+  const std::string dir = TestDir("rebuild");
   store::SnapshotStore store(dir);
-  const uint64_t gen1 = CommitIndexes(&store);
-  // Corrupt the JOSIE section in the only committed generation, so
-  // per-section generation fallback cannot silently heal it.
-  CorruptSection(dir, gen1, DiscoveryEngine::kJosieSection);
+  store::SnapshotWriter snapshot;
+  ASSERT_TRUE(lake_->catalog.SaveSnapshot(&snapshot).ok());
+  ASSERT_TRUE(writer_engine_->SaveIndexSections(&snapshot).ok());
+  auto gen = store.Commit(snapshot);
+  ASSERT_TRUE(gen.ok()) << gen.status().ToString();
+  // Corrupt the JOSIE section in the only committed generation. The
+  // Starmie section still reads, but all or nothing: both are rebuilt.
+  CorruptSection(dir, *gen, DiscoveryEngine::kJosieSection);
 
-  DiscoveryEngine engine(&lake_->catalog, &lake_->kb, EngineOptions(true));
-  uint64_t fake_now = 1000;
-  store::RecoveryManager::Options ropts;
-  ropts.backoff_initial_ms = 100;
-  ropts.now_ms = [&fake_now] { return fake_now; };
-  store::RecoveryManager recovery(&store, ropts);
-  for (const std::string& section : engine.PendingIndexSections()) {
-    recovery.Register(section, [&engine, section](const std::string& payload) {
-      return engine.LoadIndexSection(section, payload);
-    });
-  }
+  ingest::LiveEngine::Options opts;
+  opts.base_options = EngineOptions();
+  opts.kb = &lake_->kb;
+  ingest::LiveEngine::RecoveryReport report;
+  auto live = ingest::LiveEngine::Recover(&store, opts, &report);
+  ASSERT_TRUE(live.ok()) << live.status().ToString();
+  EXPECT_EQ(report.tables_loaded, lake_->catalog.num_tables());
+  EXPECT_EQ(report.index_sections_loaded, 0u);
+  EXPECT_EQ(report.index_sections_rebuilt, 2u);
 
-  // Startup is degraded, not dead: starmie restored, josie quarantined.
-  EXPECT_FALSE(recovery.RecoverAll().ok());
-  EXPECT_TRUE(recovery.degraded());
-  ASSERT_NE(engine.starmie(), nullptr);
-  EXPECT_EQ(engine.josie_join(), nullptr);
-  ASSERT_EQ(recovery.quarantined().size(), 1u);
-  EXPECT_EQ(recovery.quarantined()[0].section, DiscoveryEngine::kJosieSection);
-
-  serve::QueryService::Options sopts;
-  sopts.enable_cache = false;
-  sopts.recovery = &recovery;
-  serve::QueryService service(&engine, sopts);
-
-  // Healthy modalities keep serving.
-  serve::QueryRequest keyword;
-  keyword.kind = serve::QueryKind::kKeyword;
-  keyword.keyword = lake_->topic_of[0];
-  keyword.k = 5;
-  EXPECT_TRUE(service.Execute(keyword).status.ok());
-
-  serve::QueryRequest union_req;
-  union_req.kind = serve::QueryKind::kUnion;
-  union_req.union_method = UnionMethod::kStarmie;
-  union_req.union_table = &lake_->catalog.table(1);
-  union_req.exclude = 1;
-  union_req.k = 5;
-  EXPECT_TRUE(service.Execute(union_req).status.ok());
-
-  // The quarantined modality fails fast with FailedPrecondition and is
-  // counted as unavailable, not as a generic failure.
-  const serve::QueryResponse join = service.Execute(JoinRequest());
-  EXPECT_EQ(join.status.code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(service.metrics().GetCounter("serve.queries.unavailable")->value(),
-            1u);
-
-  // Health reflects the quarantine and refreshes the gauges.
-  serve::QueryService::HealthSnapshot health = service.Health();
-  EXPECT_FALSE(health.ok);
-  EXPECT_TRUE(health.degraded);
-  ASSERT_EQ(health.quarantined.size(), 1u);
-  EXPECT_EQ(health.quarantined[0].section, DiscoveryEngine::kJosieSection);
-  EXPECT_EQ(service.metrics().GetGauge("serve.degraded")->value(), 1u);
-  EXPECT_EQ(service.metrics().GetGauge("serve.quarantined_sections")->value(),
-            1u);
-
-  // Operator repairs the store (a fresh commit); after the backoff the
-  // retry loop restores the modality. No queries are in flight.
-  CommitIndexes(&store);
-  fake_now += 100'000;
-  EXPECT_EQ(recovery.RetryQuarantined(), 1u);
-  ASSERT_NE(engine.josie_join(), nullptr);
-  EXPECT_TRUE(service.Execute(JoinRequest()).status.ok());
-
-  health = service.Health();
-  EXPECT_TRUE(health.ok);
-  EXPECT_FALSE(health.degraded);
-  EXPECT_TRUE(health.quarantined.empty());
-  EXPECT_EQ(service.metrics().GetGauge("serve.degraded")->value(), 0u);
-  EXPECT_EQ(service.metrics().GetGauge("serve.quarantined_sections")->value(),
-            0u);
+  // The rebuilt base answers exactly like a cold build over the tables.
+  ExpectAnswersLikeWriter((*live)->Acquire()->base());
 }
 
 TEST_F(DegradedServingTest, CatalogSnapshotQuarantinesCorruptTable) {

@@ -1,10 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
-#include "index/inverted_index.h"
 #include "index/josie.h"
 #include "util/random.h"
 
@@ -15,32 +13,6 @@ std::vector<std::string> Values(size_t begin, size_t end) {
   std::vector<std::string> out;
   for (size_t i = begin; i < end; ++i) out.push_back("v" + std::to_string(i));
   return out;
-}
-
-// --- InvertedIndex -----------------------------------------------------
-
-TEST(InvertedIndexTest, PostingsAndOverlap) {
-  InvertedIndex idx;
-  idx.AddSet(10, {1, 2, 3});
-  idx.AddSet(20, {2, 3, 4});
-  idx.AddSet(30, {9});
-  EXPECT_EQ(idx.num_sets(), 3u);
-  EXPECT_EQ(idx.Postings(2), (std::vector<uint64_t>{10, 20}));
-  EXPECT_TRUE(idx.Postings(77).empty());
-  EXPECT_EQ(idx.DocumentFrequency(3), 2u);
-
-  auto overlaps = idx.OverlapCounts({2, 3, 4, 4});  // dup query token
-  std::map<uint64_t, uint32_t> m(overlaps.begin(), overlaps.end());
-  EXPECT_EQ(m[10], 2u);
-  EXPECT_EQ(m[20], 3u);
-  EXPECT_EQ(m.count(30), 0u);
-}
-
-TEST(InvertedIndexTest, DuplicateTokensCollapsed) {
-  InvertedIndex idx;
-  idx.AddSet(1, {5, 5, 5});
-  EXPECT_EQ(idx.Postings(5).size(), 1u);
-  EXPECT_EQ(idx.TotalPostings(), 1u);
 }
 
 // --- JOSIE ------------------------------------------------------------

@@ -195,15 +195,5 @@ TEST(LshEnsembleTest, EmptyAndZeroQuery) {
   EXPECT_TRUE(e2.Query(sig, 0, 0.5).value().empty());
 }
 
-TEST(LshEnsembleTest, PartitionBoundsAscending) {
-  EnsembleFixture f;
-  const auto bounds = f.ensemble.PartitionUpperBounds();
-  ASSERT_FALSE(bounds.empty());
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    if (bounds[i] == 0) continue;  // empty tail partition
-    EXPECT_GE(bounds[i], bounds[i - 1]);
-  }
-}
-
 }  // namespace
 }  // namespace lake

@@ -334,7 +334,9 @@ TEST_F(IngestChaosTest, WalZeroAcknowledgedLossAcrossCrash) {
   constexpr int kBatches = 8;
   for (int i = 0; i < kBatches; ++i) {
     ASSERT_TRUE(live->AddTable(Derived(i % 4, StrFormat("acked_%d", i))).ok());
-    if (i == 2) ASSERT_TRUE(live->Checkpoint().ok());  // durable LSN = 3
+    if (i == 2) {
+      ASSERT_TRUE(live->Checkpoint().ok());  // durable LSN = 3
+    }
   }
   EXPECT_EQ(live->wal_status().last_lsn, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(live->wal_status().durable_lsn, 3u);

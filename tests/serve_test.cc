@@ -560,6 +560,36 @@ TEST_F(QueryServiceTest, HealthReportsTheAdaptiveLimitAndInFlightQueries) {
   EXPECT_EQ(service.Health().admission_in_flight, 0u);
 }
 
+TEST_F(QueryServiceTest, UnbuiltJoinIndexFailsAsUnavailable) {
+  // No JOSIE index and neither brownout tier (approx, LSH Ensemble): a
+  // JOSIE join cannot be answered at all.
+  DiscoveryEngine::Options eopts;
+  eopts.build_josie = false;
+  eopts.build_approx = false;
+  eopts.build_lsh_join = false;
+  eopts.build_pexeso = false;
+  eopts.build_mate = false;
+  eopts.build_correlated = false;
+  eopts.build_tus = false;
+  eopts.build_santos = false;
+  eopts.build_starmie = false;
+  eopts.build_d3l = false;
+  eopts.synthesize_kb = false;
+  eopts.train_annotator = false;
+  const DiscoveryEngine engine(&lake_->catalog, &lake_->kb, eopts);
+  QueryService::Options opts;
+  opts.enable_cache = false;
+  QueryService service(&engine, opts);
+
+  const QueryResponse join = service.Execute(JoinRequest());
+  EXPECT_EQ(join.status.code(), StatusCode::kFailedPrecondition);
+  // Counted as a modality that cannot serve, not as a generic failure.
+  EXPECT_EQ(service.metrics().GetCounter("serve.queries.unavailable")->value(),
+            1u);
+  EXPECT_EQ(service.metrics().GetCounter("serve.queries.failed")->value(),
+            0u);
+}
+
 TEST_F(QueryServiceTest, InvalidRequestsRejectedUpfront) {
   QueryService service(engine_, QueryService::Options{});
   QueryRequest empty_keyword;

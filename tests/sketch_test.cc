@@ -7,7 +7,6 @@
 #include "sketch/kmv.h"
 #include "sketch/minhash.h"
 #include "sketch/set_ops.h"
-#include "sketch/simhash.h"
 #include "util/hash.h"
 #include "util/random.h"
 
@@ -164,29 +163,6 @@ TEST(HllTest, MergeEqualsUnion) {
 TEST(HllTest, PrecisionMismatchError) {
   HllSketch a(10), b(12);
   EXPECT_FALSE(a.Merge(b).ok());
-}
-
-// --- SimHash ----------------------------------------------------------------
-
-TEST(SimHashTest, IdenticalTokensIdenticalFingerprint) {
-  const std::vector<std::string> tokens = {"a", "b", "c"};
-  EXPECT_EQ(SimHash::Fingerprint(tokens), SimHash::Fingerprint(tokens));
-}
-
-TEST(SimHashTest, SimilarCloserThanDissimilar) {
-  std::vector<std::string> base, similar, different;
-  for (int i = 0; i < 50; ++i) base.push_back("tok" + std::to_string(i));
-  similar = base;
-  similar[0] = "changed";
-  for (int i = 0; i < 50; ++i) different.push_back("other" + std::to_string(i));
-  const uint64_t fb = SimHash::Fingerprint(base);
-  EXPECT_LT(SimHash::HammingDistance(fb, SimHash::Fingerprint(similar)),
-            SimHash::HammingDistance(fb, SimHash::Fingerprint(different)));
-}
-
-TEST(SimHashTest, SimilarityBounds) {
-  EXPECT_DOUBLE_EQ(SimHash::Similarity(0, 0), 1.0);
-  EXPECT_DOUBLE_EQ(SimHash::Similarity(0, ~0ULL), 0.0);
 }
 
 // --- Correlation sketch -----------------------------------------------------

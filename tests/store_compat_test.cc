@@ -118,17 +118,15 @@ TEST(StoreCompatTest, PreIngestSnapshotLoadsCatalogAndIndexes) {
   EXPECT_TRUE(catalog.quarantined().empty());
   EXPECT_TRUE(catalog.FindTable("city_population").ok());
 
-  DiscoveryEngine::Options eopts = GoldenOptions();
-  eopts.defer_index_build = true;
-  DiscoveryEngine engine(&catalog, nullptr, eopts);
-  for (const char* section :
-       {DiscoveryEngine::kJosieSection, DiscoveryEngine::kStarmieSection}) {
-    Result<std::string> payload = opened->reader.ReadSection(section);
-    ASSERT_TRUE(payload.ok()) << section;
-    EXPECT_TRUE(engine.LoadIndexSection(section, payload.value()).ok())
-        << section;
-  }
-  EXPECT_FALSE(engine.Keyword("city", 10).empty());
+  // Both golden index sections load and validate: nothing is rebuilt.
+  size_t loaded = 0, rebuilt = 0;
+  std::unique_ptr<DiscoveryEngine> engine = DiscoveryEngine::Restore(
+      &catalog, nullptr, GoldenOptions(), opened->reader, &loaded, &rebuilt);
+  EXPECT_EQ(loaded, 2u);
+  EXPECT_EQ(rebuilt, 0u);
+  EXPECT_NE(engine->josie_join(), nullptr);
+  EXPECT_NE(engine->starmie(), nullptr);
+  EXPECT_FALSE(engine->Keyword("city", 10).empty());
 }
 
 TEST(StoreCompatTest, IngestRecoveryTreatsPreIngestSnapshotAsEmptyDelta) {

@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "store/recovery.h"
 #include "store/snapshot.h"
 #include "util/crc32c.h"
 #include "util/failpoint.h"
@@ -304,8 +303,12 @@ TEST(SnapshotStoreTest, PrunesBeyondKeepGenerations) {
 
   EXPECT_EQ(store.Generations(), (std::vector<uint64_t>{2, 3}));
   EXPECT_FALSE(fs::exists(dir + "/" + SnapshotStore::SnapshotFileName(1)));
-  EXPECT_TRUE(store.OpenGeneration(2).ok());
-  EXPECT_TRUE(store.OpenGeneration(3).ok());
+  for (uint64_t gen : {2u, 3u}) {
+    EXPECT_TRUE(SnapshotReader::OpenFile(
+                    dir + "/" + SnapshotStore::SnapshotFileName(gen))
+                    .ok())
+        << "generation " << gen;
+  }
 }
 
 TEST(SnapshotStoreTest, MissingManifestFallsBackToDirectoryScan) {
@@ -380,153 +383,6 @@ TEST_F(SnapshotStoreFailpointTest, ManifestCommitFailureRollsBackEnvelope) {
   ASSERT_TRUE(gen.ok());
   EXPECT_EQ(store.OpenLatest()->reader.ReadSection("data").value(),
             "payload three");
-}
-
-// --------------------------------------------------------------- recovery
-
-TEST(RecoveryManagerTest, LoadsEverySectionWhenHealthy) {
-  SnapshotStore store(TestDir("rec_ok"));
-  SnapshotWriter writer;
-  writer.AddSection("a", "payload a");
-  writer.AddSection("b", "payload b");
-  ASSERT_TRUE(store.Commit(writer).ok());
-
-  RecoveryManager recovery(&store);
-  std::string got_a, got_b;
-  recovery.Register("a", [&](const std::string& p) {
-    got_a = p;
-    return Status::OK();
-  });
-  recovery.Register("b", [&](const std::string& p) {
-    got_b = p;
-    return Status::OK();
-  });
-  EXPECT_TRUE(recovery.RecoverAll().ok());
-  EXPECT_EQ(got_a, "payload a");
-  EXPECT_EQ(got_b, "payload b");
-  EXPECT_FALSE(recovery.degraded());
-  EXPECT_TRUE(recovery.quarantined().empty());
-  EXPECT_EQ(recovery.sections_loaded(), 2u);
-  EXPECT_EQ(recovery.recovered_generation(), 1u);
-}
-
-TEST(RecoveryManagerTest, CorruptSectionFallsBackToOlderGeneration) {
-  const std::string dir = TestDir("rec_fallback");
-  SnapshotStore store(dir);
-  SnapshotWriter writer;
-  writer.AddSection("idx", "generation-one bytes");
-  ASSERT_TRUE(store.Commit(writer).ok());
-  SnapshotWriter writer2;
-  writer2.AddSection("idx", "generation-two bytes");
-  ASSERT_TRUE(store.Commit(writer2).ok());
-
-  // Corrupt the section payload in the NEWEST generation only.
-  const std::string newest = dir + "/" + SnapshotStore::SnapshotFileName(2);
-  std::string bytes = ReadFileBytes(newest);
-  const size_t pos = bytes.find("generation-two");
-  ASSERT_NE(pos, std::string::npos);
-  bytes[pos] ^= 1;
-  WriteFileBytes(newest, bytes);
-
-  RecoveryManager recovery(&store);
-  std::string got;
-  recovery.Register("idx", [&](const std::string& p) {
-    got = p;
-    return Status::OK();
-  });
-  EXPECT_TRUE(recovery.RecoverAll().ok());
-  EXPECT_EQ(got, "generation-one bytes");  // staleness, not an outage
-  EXPECT_FALSE(recovery.degraded());
-}
-
-TEST(RecoveryManagerTest, QuarantineAndBackoffWithFakeClock) {
-  const std::string dir = TestDir("rec_backoff");
-  SnapshotStore store(dir);
-  SnapshotWriter writer;
-  writer.AddSection("idx", "index bytes");
-  ASSERT_TRUE(store.Commit(writer).ok());
-
-  // Corrupt the only copy.
-  const std::string path = dir + "/" + SnapshotStore::SnapshotFileName(1);
-  std::string bytes = ReadFileBytes(path);
-  const size_t pos = bytes.find("index bytes");
-  ASSERT_NE(pos, std::string::npos);
-  bytes[pos] ^= 1;
-  WriteFileBytes(path, bytes);
-
-  uint64_t fake_now = 1000;
-  RecoveryManager::Options options;
-  options.backoff_initial_ms = 100;
-  options.backoff_max_ms = 400;
-  options.now_ms = [&fake_now] { return fake_now; };
-  RecoveryManager recovery(&store, options);
-
-  int attempts = 0;
-  recovery.Register("idx", [&](const std::string&) {
-    ++attempts;
-    return Status::OK();
-  });
-
-  EXPECT_FALSE(recovery.RecoverAll().ok());
-  EXPECT_TRUE(recovery.degraded());
-  ASSERT_EQ(recovery.quarantined().size(), 1u);
-  EXPECT_EQ(recovery.quarantined()[0].section, "idx");
-  EXPECT_EQ(recovery.quarantined()[0].attempts, 1u);
-  EXPECT_EQ(recovery.quarantined()[0].next_retry_ms, 1100u);
-  EXPECT_EQ(attempts, 0);  // CRC failed before the loader ran
-
-  // Before the backoff expires nothing is retried.
-  EXPECT_EQ(recovery.RetryQuarantined(), 0u);
-
-  // Expired: retried, still corrupt, backoff doubles.
-  fake_now = 1100;
-  EXPECT_EQ(recovery.RetryQuarantined(), 0u);
-  ASSERT_EQ(recovery.quarantined().size(), 1u);
-  EXPECT_EQ(recovery.quarantined()[0].attempts, 2u);
-  EXPECT_EQ(recovery.quarantined()[0].next_retry_ms, 1100u + 200u);
-
-  // Backoff is capped.
-  fake_now = 10000;
-  EXPECT_EQ(recovery.RetryQuarantined(), 0u);
-  EXPECT_EQ(recovery.quarantined()[0].next_retry_ms, 10000u + 400u);
-
-  // Repair the snapshot (a fresh commit), advance past the backoff, and
-  // the section recovers.
-  SnapshotWriter repaired;
-  repaired.AddSection("idx", "index bytes");
-  ASSERT_TRUE(store.Commit(repaired).ok());
-  fake_now = 20000;
-  EXPECT_EQ(recovery.RetryQuarantined(), 1u);
-  EXPECT_EQ(attempts, 1);
-  EXPECT_FALSE(recovery.degraded());
-  EXPECT_TRUE(recovery.quarantined().empty());
-  EXPECT_GE(recovery.retry_attempts(), 3u);
-}
-
-TEST(RecoveryManagerTest, LoaderRejectionQuarantines) {
-  SnapshotStore store(TestDir("rec_reject"));
-  SnapshotWriter writer;
-  writer.AddSection("idx", "valid bytes, wrong content");
-  ASSERT_TRUE(store.Commit(writer).ok());
-
-  RecoveryManager recovery(&store);
-  recovery.Register("idx", [](const std::string&) {
-    return Status::IoError("loader rejects payload");
-  });
-  const Status status = recovery.RecoverAll();
-  EXPECT_FALSE(status.ok());
-  EXPECT_TRUE(recovery.degraded());
-  ASSERT_EQ(recovery.quarantined().size(), 1u);
-  EXPECT_NE(recovery.quarantined()[0].status.message().find("rejects"),
-            std::string::npos);
-}
-
-TEST(RecoveryManagerTest, EmptyStoreQuarantinesAllSections) {
-  SnapshotStore store(TestDir("rec_empty"));
-  RecoveryManager recovery(&store);
-  recovery.Register("idx", [](const std::string&) { return Status::OK(); });
-  EXPECT_FALSE(recovery.RecoverAll().ok());
-  EXPECT_TRUE(recovery.degraded());
 }
 
 }  // namespace
