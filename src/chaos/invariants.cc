@@ -83,14 +83,9 @@ std::vector<std::string> CheckSnapshotMonotonicity(
 }
 
 Watchdog::Watchdog(uint64_t budget_ms, std::string context)
-    : context_(std::move(context)) {
-  thread_ = std::thread([this, budget_ms] {
-    std::unique_lock<std::mutex> lock(mu_);
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(budget_ms);
-    while (!disarmed_) {
-      if (cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
-          !disarmed_) {
+    : context_(std::move(context)),
+      thread_(std::chrono::milliseconds(budget_ms), [this, budget_ms](bool) {
+        std::lock_guard<std::mutex> lock(mu_);
         std::fprintf(stderr,
                      "chaos watchdog: run exceeded %llu ms — treating the "
                      "hang as a failure\ncontext: %s\n",
@@ -98,27 +93,11 @@ Watchdog::Watchdog(uint64_t budget_ms, std::string context)
                      context_.c_str());
         std::fflush(stderr);
         std::abort();
-      }
-    }
-  });
-}
-
-Watchdog::~Watchdog() {
-  Disarm();
-  if (thread_.joinable()) thread_.join();
-}
+      }) {}
 
 void Watchdog::SetContext(std::string context) {
   std::lock_guard<std::mutex> lock(mu_);
   context_ = std::move(context);
-}
-
-void Watchdog::Disarm() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    disarmed_ = true;
-  }
-  cv_.notify_all();
 }
 
 }  // namespace lake::chaos

@@ -3,16 +3,15 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "chaos/oracle.h"
 #include "cluster/cluster_engine.h"
+#include "util/periodic_thread.h"
 
 namespace lake::chaos {
 
@@ -47,25 +46,23 @@ std::vector<std::string> CheckSnapshotMonotonicity(
 /// Converts a hang into a failure: if Disarm() is not called within
 /// `budget_ms` of construction, prints `context` to stderr and aborts the
 /// process (a deadlocked chaos run must fail loudly, not time out a CI
-/// job 6 hours later). I4 — liveness.
+/// job 6 hours later). I4 — liveness. The countdown is a PeriodicThread
+/// whose first interval is the budget: its first pass aborts.
 class Watchdog {
  public:
   Watchdog(uint64_t budget_ms, std::string context);
-  ~Watchdog();
 
   /// Replaces the stderr context printed on expiry (cheap; called per-op
   /// so the abort message names the operation that hung).
   void SetContext(std::string context);
 
-  /// Stops the countdown; the destructor joins the timer thread.
-  void Disarm();
+  /// Stops the countdown (idempotent; also run by the destructor).
+  void Disarm() { thread_.Stop(); }
 
  private:
-  std::mutex mu_;
-  std::condition_variable cv_;
+  std::mutex mu_;  // guards context_
   std::string context_;
-  bool disarmed_ = false;
-  std::thread thread_;
+  PeriodicThread thread_;  // last: stops before context_ dies
 };
 
 }  // namespace lake::chaos

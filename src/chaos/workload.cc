@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -20,6 +18,7 @@
 #include "lakegen/generator.h"
 #include "serve/query_service.h"
 #include "util/failpoint.h"
+#include "util/periodic_thread.h"
 #include "util/random.h"
 
 namespace lake::chaos {
@@ -133,15 +132,7 @@ class ChaosEnv {
   cluster::ClusterEngine* cluster() { return cluster_.get(); }
   serve::QueryService* service() { return service_.get(); }
 
-  void StopBackground() {
-    if (!bg_.joinable()) return;
-    {
-      std::lock_guard<std::mutex> lock(bg_mu_);
-      bg_stop_ = true;
-    }
-    bg_cv_.notify_all();
-    bg_.join();
-  }
+  void StopBackground() { bg_.reset(); }
 
   /// I3 — snapshot generation monotonicity since the previous call.
   std::vector<std::string> CheckSnapshots() {
@@ -184,20 +175,8 @@ class ChaosEnv {
 
   void StartBackground() {
     if (!plan_.background) return;
-    {
-      std::lock_guard<std::mutex> lock(bg_mu_);
-      bg_stop_ = false;
-    }
-    bg_ = std::thread([this] {
-      std::unique_lock<std::mutex> lock(bg_mu_);
-      while (!bg_stop_) {
-        bg_cv_.wait_for(lock, milliseconds(150));
-        if (bg_stop_) break;
-        lock.unlock();
-        cluster_->CompactAll();
-        lock.lock();
-      }
-    });
+    bg_ = std::make_unique<PeriodicThread>(
+        milliseconds(150), [this](bool) { cluster_->CompactAll(); });
   }
 
   const ChaosPlan& plan_;
@@ -205,10 +184,7 @@ class ChaosEnv {
   GeneratedLake* lake_;
   std::unique_ptr<cluster::ClusterEngine> cluster_;
   std::unique_ptr<serve::QueryService> service_;
-  std::thread bg_;
-  std::mutex bg_mu_;
-  std::condition_variable bg_cv_;
-  bool bg_stop_ = false;
+  std::unique_ptr<PeriodicThread> bg_;
   std::map<std::string, uint64_t> snap_max_;
 };
 

@@ -29,25 +29,14 @@ std::string FailpointName(uint32_t shard, size_t replica) {
          std::to_string(replica);
 }
 
+serve::Counter* CounterOrNull(serve::MetricsRegistry* metrics,
+                              const std::string& name) {
+  return metrics == nullptr ? nullptr : metrics->GetCounter(name);
+}
+
 double MsSince(Clock::time_point start) {
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
-}
-
-/// Same failure taxonomy as the serving layer's breaker accounting:
-/// infrastructure-shaped errors trip the replica's breaker, a caller's
-/// cancellation does not.
-bool IsBreakerFailure(StatusCode code) {
-  switch (code) {
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kInternal:
-    case StatusCode::kIoError:
-    case StatusCode::kFailedPrecondition:
-    case StatusCode::kUnavailable:
-      return true;
-    default:
-      return false;
-  }
 }
 
 /// One shard's contribution to a scattered query.
@@ -60,10 +49,11 @@ struct ShardOutcome {
 };
 
 /// Runs one attempt against a routed replica and settles its breaker +
-/// latency accounting: success and infrastructure failures feed the
-/// breaker and the latency window; a cancelled attempt records neutrally
+/// latency accounting with the serving layer's failure taxonomy: success
+/// and infrastructure failures feed the breakers and the latency window;
+/// any other outcome records neutrally, so it always frees a probe slot
 /// (a hedge loser's unwind time is not a service-latency sample, and the
-/// caller's cancellation is not the replica's fault).
+/// caller's cancellation or bad request is not the replica's fault).
 template <typename Answer, typename ShardFn>
 Status RunAttempt(ReplicaSet& rs, const ReplicaSet::Route& route,
                   const CancelToken* cancel, const ShardFn& fn,
@@ -79,12 +69,10 @@ Status RunAttempt(ReplicaSet& rs, const ReplicaSet::Route& route,
   const auto now = ReplicaSet::Clock::now();
   const double latency_us =
       std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
-  if (st.ok()) {
-    rs.RecordOutcome(route.replica, true, now, latency_us);
-  } else if (st.code() == StatusCode::kCancelled) {
+  if (st.ok() || serve::CircuitBreaker::IsFailure(st)) {
+    rs.RecordOutcome(route.replica, st.ok(), now, latency_us);
+  } else {
     rs.RecordNeutral(route.replica, now);
-  } else if (IsBreakerFailure(st.code())) {
-    rs.RecordOutcome(route.replica, false, now, latency_us);
   }
   return st;
 }
@@ -186,12 +174,10 @@ Status RunHedgedAttempt(const std::shared_ptr<ReplicaSet>& rs,
   // Primary is slow: hedge, if the budget and a sibling permit.
   ReplicaSet::Route sibling;
   const auto pick_now = ReplicaSet::Clock::now();
-  if (tail.budget != nullptr && tail.budget->TryAcquire(pick_now)) {
+  if (tail.budget->TryAcquire(pick_now)) {
     if (rs->Pick(pick_now, primary.replica, &sibling)) {
       trace->hedged = true;
-      if (tail.hedges_dispatched != nullptr) {
-        tail.hedges_dispatched->fetch_add(1, std::memory_order_relaxed);
-      }
+      tail.hedges_dispatched->fetch_add(1, std::memory_order_relaxed);
       if (tail.hedge_counter != nullptr) tail.hedge_counter->Add();
       CancelToken hedge_token;
       if (cancel != nullptr && cancel->has_deadline()) {
@@ -212,9 +198,7 @@ Status RunHedgedAttempt(const std::shared_ptr<ReplicaSet>& rs,
         }
         race->token.Cancel();  // the losing primary unwinds at its next poll
         lock.unlock();
-        if (tail.hedges_won != nullptr) {
-          tail.hedges_won->fetch_add(1, std::memory_order_relaxed);
-        }
+        tail.hedges_won->fetch_add(1, std::memory_order_relaxed);
         if (tail.hedge_win_counter != nullptr) tail.hedge_win_counter->Add();
         trace->hedge_won = true;
         trace->replica = sibling.replica;
@@ -262,13 +246,10 @@ void RunShardWithFailover(const std::shared_ptr<ReplicaSet>& rs,
   out->status = Status::Unavailable("shard " + std::to_string(rs->shard_id()) +
                                     ": no live replica admits the call");
   out->trace.status = out->status;
-  if (tail.budget != nullptr) {
-    tail.budget->RecordRequest(RetryBudget::Clock::now());
-  }
+  tail.budget->RecordRequest(RetryBudget::Clock::now());
   for (size_t attempt = 0; attempt < std::max<size_t>(1, max_attempts);
        ++attempt) {
-    if (attempt > 0 && tail.budget != nullptr &&
-        !tail.budget->TryAcquire(RetryBudget::Clock::now())) {
+    if (attempt > 0 && !tail.budget->TryAcquire(RetryBudget::Clock::now())) {
       if (tail.budget_denied_counter != nullptr) {
         tail.budget_denied_counter->Add();
       }
@@ -336,12 +317,12 @@ std::vector<ShardOutcome<Answer>> ScatterToShards(
     const bool cancelled_upstream = cancel != nullptr && cancel->cancelled();
     if (cancelled_upstream) token->Cancel();
     auto future =
-        pool.Async([set = rs, token, tail, max_attempts, fn]() {
+        pool.Async([set = rs, token, tail = &tail, max_attempts, fn]() {
           ShardOutcome<Answer> out;
           out.shard = set->shard_id();
           out.trace.shard = set->shard_id();
           const Clock::time_point t0 = Clock::now();
-          RunShardWithFailover(set, tail, max_attempts, token.get(), fn,
+          RunShardWithFailover(set, *tail, max_attempts, token.get(), fn,
                                &out);
           out.trace.latency_ms = MsSince(t0);
           return out;
@@ -477,19 +458,6 @@ ScatterResponse<Hit> BuildResponse(std::vector<ShardOutcome<Answer>> outcomes,
   return resp;
 }
 
-/// The cluster's per-query metric handles (all optional), snapped out of
-/// the engine so the recording helper can stay a file-local template over
-/// the answer type.
-struct ScatterMetrics {
-  serve::Counter* total = nullptr;
-  serve::Counter* degraded = nullptr;
-  serve::Counter* failovers = nullptr;
-  serve::CounterFamily* shard_queries = nullptr;
-  serve::CounterFamily* shard_failovers = nullptr;
-  serve::CounterFamily* shard_missing = nullptr;
-  serve::CounterFamily* shard_delta_hits = nullptr;
-};
-
 template <typename Answer>
 void RecordScatterMetrics(const ScatterMetrics& m,
                           const std::vector<ShardOutcome<Answer>>& outcomes) {
@@ -561,23 +529,37 @@ ReplicaSet* ClusterEngine::Topology::Find(uint32_t shard_id) const {
   return nullptr;
 }
 
-ClusterEngine::ClusterEngine(Options options) : options_(std::move(options)) {
+ClusterEngine::ClusterEngine(Options options)
+    : options_(std::move(options)),
+      retry_budget_(std::make_unique<RetryBudget>(RetryBudget::Options{
+          .ratio = options_.tail.budget_ratio,
+          .min_tokens = options_.tail.budget_min_tokens,
+          .window_slices = options_.tail.budget_window_slices,
+          .slice_width = options_.tail.budget_slice_width})),
+      // Hedged primaries run here, one slot per shard: even with every
+      // scatter worker blocked in a hedge wait, the primaries make progress.
+      hedge_pool_(options_.tail.enable_hedging
+                      ? std::make_unique<ThreadPool>(
+                            std::max<size_t>(2, options_.num_shards))
+                      : nullptr),
+      tail_{.budget = retry_budget_.get(),
+            .hedge_pool = hedge_pool_.get(),
+            .hedge_quantile = options_.tail.hedge_quantile,
+            .hedge_min_delay = options_.tail.hedge_min_delay,
+            .hedge_max_delay = options_.tail.hedge_max_delay,
+            .hedge_min_samples = options_.tail.hedge_min_samples,
+            .hedges_dispatched = &hedges_dispatched_,
+            .hedges_won = &hedges_won_,
+            .hedge_counter =
+                CounterOrNull(options_.metrics, "cluster.tail.hedges"),
+            .hedge_win_counter =
+                CounterOrNull(options_.metrics, "cluster.tail.hedge_wins"),
+            .budget_denied_counter =
+                CounterOrNull(options_.metrics, "cluster.tail.budget_denied")} {
   options_.num_shards = std::max<size_t>(1, options_.num_shards);
   options_.num_replicas = std::max<size_t>(1, options_.num_replicas);
   options_.max_failover_attempts =
       std::max<size_t>(1, options_.max_failover_attempts);
-  RetryBudget::Options bo;
-  bo.ratio = options_.tail.budget_ratio;
-  bo.min_tokens = options_.tail.budget_min_tokens;
-  bo.window_slices = options_.tail.budget_window_slices;
-  bo.slice_width = options_.tail.budget_slice_width;
-  retry_budget_ = std::make_unique<RetryBudget>(bo);
-  if (options_.tail.enable_hedging) {
-    // Hedged primaries run here, one slot per shard: even with every
-    // scatter worker blocked in a hedge wait, the primaries make progress.
-    hedge_pool_ =
-        std::make_unique<ThreadPool>(std::max<size_t>(2, options_.num_shards));
-  }
   const size_t workers =
       options_.num_workers > 0 ? options_.num_workers : options_.num_shards;
   pool_ = std::make_unique<ThreadPool>(workers);
@@ -671,24 +653,6 @@ ReplicaSet::Options ClusterEngine::ReplicaOptions(uint32_t shard) {
   return ro;
 }
 
-TailContext ClusterEngine::TailCtx() const {
-  TailContext t;
-  t.budget = retry_budget_.get();
-  t.hedge_pool = hedge_pool_.get();
-  t.hedge_quantile = options_.tail.hedge_quantile;
-  t.hedge_min_delay = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      options_.tail.hedge_min_delay);
-  t.hedge_max_delay = std::chrono::duration_cast<std::chrono::nanoseconds>(
-      options_.tail.hedge_max_delay);
-  t.hedge_min_samples = options_.tail.hedge_min_samples;
-  t.hedges_dispatched = &hedges_dispatched_;
-  t.hedges_won = &hedges_won_;
-  t.hedge_counter = hedge_counter_;
-  t.hedge_win_counter = hedge_win_counter_;
-  t.budget_denied_counter = budget_denied_counter_;
-  return t;
-}
-
 ClusterEngine::TailStats ClusterEngine::tail_stats() const {
   TailStats s;
   s.budget_requests = retry_budget_->requests();
@@ -702,13 +666,16 @@ ClusterEngine::TailStats ClusterEngine::tail_stats() const {
 void ClusterEngine::InitMetrics() {
   serve::MetricsRegistry* m = options_.metrics;
   if (m == nullptr) return;
-  queries_total_ = m->GetCounter("cluster.queries");
-  queries_degraded_ = m->GetCounter("cluster.queries.degraded");
-  failovers_total_ = m->GetCounter("cluster.failovers");
-  shard_queries_ = m->GetCounterFamily("cluster.shard.queries", "shard");
-  shard_failovers_ = m->GetCounterFamily("cluster.shard.failovers", "shard");
-  shard_missing_ = m->GetCounterFamily("cluster.shard.missing", "shard");
-  shard_delta_hits_ =
+  scatter_metrics_.total = m->GetCounter("cluster.queries");
+  scatter_metrics_.degraded = m->GetCounter("cluster.queries.degraded");
+  scatter_metrics_.failovers = m->GetCounter("cluster.failovers");
+  scatter_metrics_.shard_queries =
+      m->GetCounterFamily("cluster.shard.queries", "shard");
+  scatter_metrics_.shard_failovers =
+      m->GetCounterFamily("cluster.shard.failovers", "shard");
+  scatter_metrics_.shard_missing =
+      m->GetCounterFamily("cluster.shard.missing", "shard");
+  scatter_metrics_.shard_delta_hits =
       m->GetCounterFamily("cluster.shard.delta_hits", "shard");
   shard_tables_ = m->GetGaugeFamily("cluster.shard.tables", "shard");
   shard_replicas_alive_ =
@@ -723,9 +690,6 @@ void ClusterEngine::InitMetrics() {
   repair_tables_dropped_ =
       m->GetCounterFamily("cluster.repair.tables_dropped", "shard");
   repair_failures_ = m->GetCounterFamily("cluster.repair.failures", "shard");
-  hedge_counter_ = m->GetCounter("cluster.tail.hedges");
-  hedge_win_counter_ = m->GetCounter("cluster.tail.hedge_wins");
-  budget_denied_counter_ = m->GetCounter("cluster.tail.budget_denied");
 }
 
 Result<std::unique_ptr<ClusterEngine>> ClusterEngine::Recover(
@@ -857,7 +821,7 @@ TableQueryResponse ClusterEngine::Keyword(const std::string& query, size_t k,
     Bm25Index::CorpusStats stats;
   };
   auto pinned = ScatterToShards<Pinned>(
-      *pool_, topo->shards, TailCtx(), options_.max_failover_attempts,
+      *pool_, topo->shards, tail_, options_.max_failover_attempts,
       options_.shard_deadline, cancel,
       [query](const ingest::LiveEngine& engine, const CancelToken* token,
               uint32_t /*shard*/) -> Result<Pinned> {
@@ -902,11 +866,7 @@ TableQueryResponse ClusterEngine::Keyword(const std::string& query, size_t k,
   }
   for (std::future<void>& f : scoring) f.get();
 
-  RecordScatterMetrics(
-      ScatterMetrics{queries_total_, queries_degraded_, failovers_total_,
-                     shard_queries_, shard_failovers_, shard_missing_,
-                     shard_delta_hits_},
-      outcomes);
+  RecordScatterMetrics(scatter_metrics_, outcomes);
   return BuildResponse<TableHit>(std::move(outcomes), k);
 }
 
@@ -915,7 +875,7 @@ ColumnQueryResponse ClusterEngine::Joinable(
     const CancelToken* cancel, double error_budget) const {
   auto topo = topology();
   auto outcomes = ScatterToShards<ColumnAnswer>(
-      *pool_, topo->shards, TailCtx(), options_.max_failover_attempts,
+      *pool_, topo->shards, tail_, options_.max_failover_attempts,
       options_.shard_deadline, cancel,
       [query_values, method, k, error_budget](
           const ingest::LiveEngine& engine, const CancelToken* token,
@@ -931,11 +891,7 @@ ColumnQueryResponse ClusterEngine::Joinable(
         a.delta_hits = ms.delta_results;
         return a;
       });
-  RecordScatterMetrics(
-      ScatterMetrics{queries_total_, queries_degraded_, failovers_total_,
-                     shard_queries_, shard_failovers_, shard_missing_,
-                     shard_delta_hits_},
-      outcomes);
+  RecordScatterMetrics(scatter_metrics_, outcomes);
   return BuildResponse<ColumnHit>(std::move(outcomes), k);
 }
 
@@ -945,7 +901,7 @@ TableQueryResponse ClusterEngine::Unionable(const Table& query,
                                             const CancelToken* cancel) const {
   auto topo = topology();
   auto outcomes = ScatterToShards<TableAnswer>(
-      *pool_, topo->shards, TailCtx(), options_.max_failover_attempts,
+      *pool_, topo->shards, tail_, options_.max_failover_attempts,
       options_.shard_deadline, cancel,
       [query, exclude_name, method, k](
           const ingest::LiveEngine& engine, const CancelToken* token,
@@ -968,11 +924,7 @@ TableQueryResponse ClusterEngine::Unionable(const Table& query,
         a.delta_hits = ms.delta_results;
         return a;
       });
-  RecordScatterMetrics(
-      ScatterMetrics{queries_total_, queries_degraded_, failovers_total_,
-                     shard_queries_, shard_failovers_, shard_missing_,
-                     shard_delta_hits_},
-      outcomes);
+  RecordScatterMetrics(scatter_metrics_, outcomes);
   return BuildResponse<TableHit>(std::move(outcomes), k);
 }
 
@@ -982,7 +934,7 @@ ColumnQueryResponse ClusterEngine::Correlated(
     const CancelToken* cancel) const {
   auto topo = topology();
   auto outcomes = ScatterToShards<ColumnAnswer>(
-      *pool_, topo->shards, TailCtx(), options_.max_failover_attempts,
+      *pool_, topo->shards, tail_, options_.max_failover_attempts,
       options_.shard_deadline, cancel,
       [key_values, numeric_values, k](
           const ingest::LiveEngine& engine, const CancelToken* token,
@@ -998,11 +950,7 @@ ColumnQueryResponse ClusterEngine::Correlated(
         a.delta_hits = ms.delta_results;
         return a;
       });
-  RecordScatterMetrics(
-      ScatterMetrics{queries_total_, queries_degraded_, failovers_total_,
-                     shard_queries_, shard_failovers_, shard_missing_,
-                     shard_delta_hits_},
-      outcomes);
+  RecordScatterMetrics(scatter_metrics_, outcomes);
   return BuildResponse<ColumnHit>(std::move(outcomes), k);
 }
 

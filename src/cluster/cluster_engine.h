@@ -22,12 +22,14 @@ namespace lake::cluster {
 
 class Scrubber;
 
-/// Hedging/budget state one scattered query carries into its per-shard
-/// tasks (snapped out of the engine like the metric handles, so the shard
-/// runners stay free templates in the .cc). Pointers alias engine members
-/// that outlive the scatter pool — abandoned shard tasks may touch them
-/// after the query returns, never after the engine dies.
+/// Hedging/budget state every scattered query hands its per-shard tasks
+/// (so the shard runners stay free templates in the .cc). The engine
+/// builds it once, at construction, as a const member; shard tasks hold it
+/// by reference. It and the members its pointers alias outlive the scatter
+/// pool — abandoned shard tasks may touch them after the query returns,
+/// never after the engine dies.
 struct TailContext {
+  /// Never null, nor are `hedges_dispatched` and `hedges_won`.
   RetryBudget* budget = nullptr;
   /// Non-null iff hedging is enabled; primaries of hedged attempts run
   /// here so a saturated scatter pool cannot starve its own hedges.
@@ -41,6 +43,18 @@ struct TailContext {
   serve::Counter* hedge_counter = nullptr;
   serve::Counter* hedge_win_counter = nullptr;
   serve::Counter* budget_denied_counter = nullptr;
+};
+
+/// The cluster's per-query metric handles (all null without a registry),
+/// set once at construction like TailContext.
+struct ScatterMetrics {
+  serve::Counter* total = nullptr;
+  serve::Counter* degraded = nullptr;
+  serve::Counter* failovers = nullptr;
+  serve::CounterFamily* shard_queries = nullptr;
+  serve::CounterFamily* shard_failovers = nullptr;
+  serve::CounterFamily* shard_missing = nullptr;
+  serve::CounterFamily* shard_delta_hits = nullptr;
 };
 
 /// A ranked table hit with cluster provenance. Tables are identified by
@@ -418,8 +432,6 @@ class ClusterEngine {
   store::SnapshotStore* StoreFor(uint32_t shard, size_t replica);
 
   ReplicaSet::Options ReplicaOptions(uint32_t shard);
-  /// Snapshot of the tail-tolerance state one scattered query carries.
-  TailContext TailCtx() const;
   void InitMetrics();
   /// Starts the background scrubber when options_.enable_scrubber.
   void StartScrubber();
@@ -444,13 +456,7 @@ class ClusterEngine {
   std::atomic<uint64_t> version_{0};
 
   // Metric handles (null without a registry).
-  serve::Counter* queries_total_ = nullptr;
-  serve::Counter* queries_degraded_ = nullptr;
-  serve::Counter* failovers_total_ = nullptr;
-  serve::CounterFamily* shard_queries_ = nullptr;
-  serve::CounterFamily* shard_failovers_ = nullptr;
-  serve::CounterFamily* shard_missing_ = nullptr;
-  serve::CounterFamily* shard_delta_hits_ = nullptr;
+  ScatterMetrics scatter_metrics_;
   serve::GaugeFamily* shard_tables_ = nullptr;
   serve::GaugeFamily* shard_replicas_alive_ = nullptr;
   serve::GaugeFamily* shard_replicas_serving_ = nullptr;
@@ -459,9 +465,6 @@ class ClusterEngine {
   serve::CounterFamily* repair_tables_copied_ = nullptr;
   serve::CounterFamily* repair_tables_dropped_ = nullptr;
   serve::CounterFamily* repair_failures_ = nullptr;
-  serve::Counter* hedge_counter_ = nullptr;
-  serve::Counter* hedge_win_counter_ = nullptr;
-  serve::Counter* budget_denied_counter_ = nullptr;
 
   /// Tail tolerance: the shared retry/hedge budget, the dedicated hedge
   /// pool (hedged primaries run here so a saturated scatter pool cannot
@@ -472,6 +475,8 @@ class ClusterEngine {
   std::unique_ptr<ThreadPool> hedge_pool_;
   mutable std::atomic<uint64_t> hedges_dispatched_{0};
   mutable std::atomic<uint64_t> hedges_won_{0};
+  /// Built from the members above and the tail options, once.
+  const TailContext tail_;
 
   /// Scatter/build/ingest pool. Drained before the replica sets and
   /// stores it references are torn down.

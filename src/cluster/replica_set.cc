@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "util/backoff.h"
 #include "util/failpoint.h"
 #include "util/logging.h"
 
@@ -63,17 +62,7 @@ ReplicaSet::ReplicaSet(uint32_t shard_id,
     replicas_.push_back(std::make_unique<ingest::LiveEngine>(
         catalog, base, std::move(engine_options)));
   }
-  breakers_.reserve(r);
-  alive_.reserve(r);
-  stale_.reserve(r);
-  for (size_t i = 0; i < r; ++i) {
-    breakers_.push_back(
-        std::make_unique<serve::CircuitBreaker>(options.breaker));
-    alive_.push_back(std::make_unique<std::atomic<bool>>(true));
-    stale_.push_back(std::make_unique<std::atomic<bool>>(false));
-    tail_.push_back(std::make_unique<TailState>(tail_options_.latency_window));
-  }
-  InitMetrics(options.metrics);
+  InitReplicaState(options);
 }
 
 ReplicaSet::ReplicaSet(
@@ -84,20 +73,28 @@ ReplicaSet::ReplicaSet(
       write_quorum_option_(options.write_quorum),
       tail_options_(options.tail),
       replicas_(std::move(replicas)) {
-  breakers_.reserve(replicas_.size());
-  alive_.reserve(replicas_.size());
-  stale_.reserve(replicas_.size());
+  InitReplicaState(options);
+}
+
+void ReplicaSet::InitReplicaState(const Options& options) {
+  // The latency breaker never sees RecordFailure: only the verdict trips
+  // it, and its half-open period admits one probe at a time.
+  serve::CircuitBreaker::Options eject;
+  eject.open_base =
+      std::max(tail_options_.eject_base, std::chrono::milliseconds(1));
+  eject.open_max = tail_options_.eject_max;
+  eject.half_open_max_probes = 1;
+  eject.close_after_successes = tail_options_.eject_probes;
   for (size_t i = 0; i < replicas_.size(); ++i) {
     breakers_.push_back(
         std::make_unique<serve::CircuitBreaker>(options.breaker));
     alive_.push_back(std::make_unique<std::atomic<bool>>(true));
     stale_.push_back(std::make_unique<std::atomic<bool>>(false));
-    tail_.push_back(std::make_unique<TailState>(tail_options_.latency_window));
+    latency_.push_back(
+        std::make_unique<WindowedQuantile>(tail_options_.latency_window));
+    ejectors_.push_back(std::make_unique<serve::CircuitBreaker>(eject));
   }
-  InitMetrics(options.metrics);
-}
-
-void ReplicaSet::InitMetrics(serve::MetricsRegistry* metrics) {
+  serve::MetricsRegistry* metrics = options.metrics;
   if (metrics == nullptr) return;
   outcome_mismatch_ = metrics->GetCounter("cluster.apply.outcome_mismatch");
   replica_failures_ =
@@ -119,36 +116,40 @@ void ReplicaSet::ExportStaleGauge() {
   if (stale_gauge_ != nullptr) stale_gauge_->Set(num_stale());
 }
 
-void ReplicaSet::ExportEjectedGaugeLocked() {
-  if (ejected_gauge_ == nullptr) return;
-  size_t n = 0;
-  for (const auto& t : tail_) {
-    if (t->state != TailState::Eject::kAdmitted) ++n;
-  }
-  ejected_gauge_->Set(n);
+void ReplicaSet::ExportEjectedGauge() {
+  if (ejected_gauge_ != nullptr) ejected_gauge_->Set(num_ejected());
 }
 
 bool ReplicaSet::Pick(Clock::time_point now, size_t exclude, Route* route) {
+  using Permit = serve::CircuitBreaker::Permit;
   const size_t r = replicas_.size();
   const size_t start = next_replica_.fetch_add(1, std::memory_order_relaxed);
-  // Pass 1 skips slow-ejected replicas; pass 2 is the availability floor:
-  // when only ejected replicas remain, a slow answer beats no answer.
-  for (int pass = 0; pass < 2; ++pass) {
+  const bool ejecting = tail_options_.eject_multiple > 0;
+  // Pass 1 asks each candidate's latency breaker, so slow-ejected replicas
+  // are skipped; pass 2 is the availability floor: when only ejected
+  // replicas remain, a slow answer beats no answer.
+  for (int pass = 0; pass < (ejecting ? 2 : 1); ++pass) {
     for (size_t i = 0; i < r; ++i) {
       const size_t candidate = (start + i) % r;
       if (candidate == exclude || !alive(candidate) || stale(candidate)) {
         continue;
       }
-      bool tail_probe = false;
-      if (pass == 0) {
-        const TailPermit tail_permit = TailAllow(candidate, now);
-        if (tail_permit == TailPermit::kSkip) continue;
-        tail_probe = tail_permit == TailPermit::kProbe;
+      Permit eject = Permit::kAllowed;
+      if (pass == 0 && ejecting) {
+        std::lock_guard<std::mutex> lock(tail_mu_);
+        serve::CircuitBreaker& ejector = *ejectors_[candidate];
+        const bool was_open =
+            ejector.state(now) == serve::CircuitBreaker::State::kOpen;
+        eject = ejector.Allow(now);
+        if (eject == Permit::kDenied) continue;
+        // The ejection is served and this probe starts the probe period:
+        // clear the window so the re-admit verdict judges only samples
+        // from here on, not the old slowness or last-resort picks.
+        if (was_open) latency_[candidate]->Reset();
       }
-      const serve::CircuitBreaker::Permit permit =
-          breakers_[candidate]->Allow(now);
-      if (permit == serve::CircuitBreaker::Permit::kDenied) {
-        if (tail_probe) TailReleaseProbe(candidate);
+      const Permit permit = breakers_[candidate]->Allow(now);
+      if (permit == Permit::kDenied) {
+        if (eject == Permit::kProbe) ejectors_[candidate]->RecordNeutral(now);
         continue;
       }
       route->replica = candidate;
@@ -156,86 +157,39 @@ bool ReplicaSet::Pick(Clock::time_point now, size_t exclude, Route* route) {
       route->permit = permit;
       return true;
     }
-    if (tail_options_.eject_multiple <= 0) break;  // pass 2 can't differ
   }
   return false;
 }
 
-ReplicaSet::TailPermit ReplicaSet::TailAllow(size_t candidate,
-                                             Clock::time_point now) {
-  if (tail_options_.eject_multiple <= 0) return TailPermit::kGranted;
-  std::lock_guard<std::mutex> lock(tail_mu_);
-  TailState& t = *tail_[candidate];
-  switch (t.state) {
-    case TailState::Eject::kAdmitted:
-      return TailPermit::kGranted;
-    case TailState::Eject::kEjected:
-      if (now < t.readmit_at) return TailPermit::kSkip;
-      // Ejection served: start probing from a clean window so the
-      // re-admit verdict judges probe samples, not the old slowness.
-      t.state = TailState::Eject::kProbing;
-      t.probes_in_flight = 1;
-      t.probe_successes = 0;
-      t.latency.Reset();
-      return TailPermit::kProbe;
-    case TailState::Eject::kProbing:
-      if (t.probes_in_flight >= 1) return TailPermit::kSkip;
-      ++t.probes_in_flight;
-      return TailPermit::kProbe;
-  }
-  return TailPermit::kGranted;
-}
-
-void ReplicaSet::TailReleaseProbe(size_t replica) {
-  std::lock_guard<std::mutex> lock(tail_mu_);
-  TailState& t = *tail_[replica];
-  if (t.probes_in_flight > 0) --t.probes_in_flight;
-}
-
-double ReplicaSet::PeerMedianLocked(size_t replica,
-                                    Clock::time_point now) const {
+bool ReplicaSet::EjectIfSlowLocked(size_t replica, Clock::time_point now) {
+  // The floor: only admitted, live, non-stale peers with enough signal
+  // count, so with no qualified peer this replica may be the last healthy
+  // one and is never ejected on a solo verdict.
   std::vector<double> peer_quantiles;
   for (size_t j = 0; j < replicas_.size(); ++j) {
-    if (j == replica || !alive(j) || stale(j)) continue;
-    if (tail_[j]->state != TailState::Eject::kAdmitted) continue;
-    if (tail_[j]->latency.count(now) < tail_options_.eject_min_samples) {
+    if (j == replica || !alive(j) || stale(j) ||
+        ejectors_[j]->state(now) != serve::CircuitBreaker::State::kClosed ||
+        latency_[j]->count(now) < tail_options_.eject_min_samples) {
       continue;
     }
     peer_quantiles.push_back(
-        tail_[j]->latency.Quantile(tail_options_.eject_quantile, now));
+        latency_[j]->Quantile(tail_options_.eject_quantile, now));
   }
-  if (peer_quantiles.empty()) return 0;
+  if (peer_quantiles.empty()) return false;
   std::sort(peer_quantiles.begin(), peer_quantiles.end());
-  return peer_quantiles[peer_quantiles.size() / 2];
-}
-
-void ReplicaSet::EvaluateEjectionLocked(size_t replica,
-                                        Clock::time_point now) {
-  TailState& t = *tail_[replica];
-  if (t.latency.count(now) < tail_options_.eject_min_samples) return;
-  // The floor: PeerMedianLocked only counts admitted, live, non-stale
-  // peers with enough signal — no qualified peer means this replica may
-  // be the last healthy one, so it is never ejected on a solo verdict.
-  const double median = PeerMedianLocked(replica, now);
-  if (median <= 0) return;
-  const double own = t.latency.Quantile(tail_options_.eject_quantile, now);
-  if (own <= tail_options_.eject_multiple * median) return;
-  t.state = TailState::Eject::kEjected;
-  const uint64_t base_ms =
-      static_cast<uint64_t>(tail_options_.eject_base.count());
-  const uint64_t max_ms =
-      static_cast<uint64_t>(tail_options_.eject_max.count());
-  t.readmit_at = now + std::chrono::milliseconds(BackoffDelay(
-                           std::max<uint64_t>(1, base_ms), max_ms,
-                           t.consecutive_ejects + 1));
-  ++t.consecutive_ejects;
-  ++t.ejections;
+  const double median = peer_quantiles[peer_quantiles.size() / 2];
+  const double own =
+      latency_[replica]->Quantile(tail_options_.eject_quantile, now);
+  if (median <= 0 || own <= tail_options_.eject_multiple * median) {
+    return false;
+  }
+  ejectors_[replica]->Trip(now);
   if (eject_counter_ != nullptr) eject_counter_->Add();
-  ExportEjectedGaugeLocked();
   LAKE_LOG(Warning) << "shard " << shard_id_ << " replica " << replica
                     << ": slow-outlier ejected (p"
                     << static_cast<int>(tail_options_.eject_quantile * 100)
                     << " " << own << "us vs peer median " << median << "us)";
+  return true;
 }
 
 void ReplicaSet::RecordOutcome(size_t replica, bool success,
@@ -245,86 +199,67 @@ void ReplicaSet::RecordOutcome(size_t replica, bool success,
   } else {
     breakers_[replica]->RecordFailure(now);
   }
-  if (latency_us >= 0) tail_[replica]->latency.Record(latency_us, now);
+  if (latency_us >= 0) latency_[replica]->Record(latency_us, now);
   if (tail_options_.eject_multiple <= 0) return;
   std::lock_guard<std::mutex> lock(tail_mu_);
-  TailState& t = *tail_[replica];
-  switch (t.state) {
-    case TailState::Eject::kAdmitted:
-      EvaluateEjectionLocked(replica, now);
-      return;
-    case TailState::Eject::kEjected:
-      return;  // straggler from before the ejection
-    case TailState::Eject::kProbing: {
-      if (t.probes_in_flight > 0) --t.probes_in_flight;
-      if (!success) return;  // breaker judges failures; keep probing
-      if (++t.probe_successes < tail_options_.eject_probes) return;
-      // Verdict: the probe window holds only post-ejection samples. Still
-      // an outlier -> re-eject with a doubled ejection; recovered (or not
-      // provably slow) -> re-admit.
-      const double median = PeerMedianLocked(replica, now);
-      const double own =
-          t.latency.Quantile(tail_options_.eject_quantile, now);
-      if (median > 0 && own > tail_options_.eject_multiple * median) {
-        t.state = TailState::Eject::kEjected;
-        const uint64_t base_ms =
-            static_cast<uint64_t>(tail_options_.eject_base.count());
-        const uint64_t max_ms =
-            static_cast<uint64_t>(tail_options_.eject_max.count());
-        t.readmit_at =
-            now + std::chrono::milliseconds(BackoffDelay(
-                      std::max<uint64_t>(1, base_ms), max_ms,
-                      t.consecutive_ejects + 1));
-        ++t.consecutive_ejects;
-        ++t.ejections;
-        if (eject_counter_ != nullptr) eject_counter_->Add();
-      } else {
-        t.state = TailState::Eject::kAdmitted;
-        t.consecutive_ejects = 0;
+  serve::CircuitBreaker& ejector = *ejectors_[replica];
+  switch (ejector.state(now)) {
+    case serve::CircuitBreaker::State::kClosed:
+      if (latency_[replica]->count(now) >= tail_options_.eject_min_samples &&
+          EjectIfSlowLocked(replica, now)) {
+        ExportEjectedGauge();
       }
-      t.probes_in_flight = 0;
-      t.probe_successes = 0;
-      ExportEjectedGaugeLocked();
       return;
-    }
+    case serve::CircuitBreaker::State::kOpen:
+      return;  // straggler from before the ejection, or a last-resort pick
+    case serve::CircuitBreaker::State::kHalfOpen:
+      // The failure breaker judges failures: a failed probe only frees the
+      // probe slot.
+      if (!success) {
+        ejector.RecordNeutral(now);
+        return;
+      }
+      if (ejector.probe_successes() + 1 < tail_options_.eject_probes) {
+        ejector.RecordSuccess(now);
+        return;
+      }
+      // Verdict over probe-period samples only: still an outlier ->
+      // re-eject with a doubled backoff; recovered (or not provably slow)
+      // -> this success closes the breaker and re-admits the replica.
+      if (!EjectIfSlowLocked(replica, now)) ejector.RecordSuccess(now);
+      ExportEjectedGauge();
+      return;
   }
 }
 
 void ReplicaSet::RecordNeutral(size_t replica, Clock::time_point now) {
   breakers_[replica]->RecordNeutral(now);
-  if (tail_options_.eject_multiple <= 0) return;
-  std::lock_guard<std::mutex> lock(tail_mu_);
-  TailState& t = *tail_[replica];
-  if (t.state == TailState::Eject::kProbing && t.probes_in_flight > 0) {
-    --t.probes_in_flight;
-  }
+  if (tail_options_.eject_multiple > 0) ejectors_[replica]->RecordNeutral(now);
 }
 
 double ReplicaSet::LatencyQuantile(size_t replica, double q,
                                    Clock::time_point now) const {
-  return tail_[replica]->latency.Quantile(q, now);
+  return latency_[replica]->Quantile(q, now);
 }
 
 uint64_t ReplicaSet::LatencySamples(size_t replica,
                                     Clock::time_point now) const {
-  return tail_[replica]->latency.count(now);
+  return latency_[replica]->count(now);
 }
 
 bool ReplicaSet::slow_ejected(size_t replica) const {
-  std::lock_guard<std::mutex> lock(tail_mu_);
-  return tail_[replica]->state != TailState::Eject::kAdmitted;
+  return ejectors_[replica]->state(Clock::now()) !=
+         serve::CircuitBreaker::State::kClosed;
 }
 
 uint64_t ReplicaSet::slow_ejections(size_t replica) const {
-  std::lock_guard<std::mutex> lock(tail_mu_);
-  return tail_[replica]->ejections;
+  return ejectors_[replica]->trips();
 }
 
 size_t ReplicaSet::num_ejected() const {
-  std::lock_guard<std::mutex> lock(tail_mu_);
   size_t n = 0;
-  for (const auto& t : tail_) {
-    if (t->state != TailState::Eject::kAdmitted) ++n;
+  for (size_t i = 0; i < ejectors_.size(); ++i) {
+    if (slow_ejected(i)) ++n;
   }
   return n;
 }

@@ -59,7 +59,9 @@ class ReplicaSet {
     serve::MetricsRegistry* metrics = nullptr;
 
     /// Tail tolerance: per-replica latency tracking is always on (cheap);
-    /// slow-outlier *ejection* activates when `eject_multiple > 0`.
+    /// slow-outlier *ejection* activates when `eject_multiple > 0`. An
+    /// ejection is a latency-tripped CircuitBreaker per replica: the
+    /// verdict trips it, its backoff and single probe slot run the rest.
     struct Tail {
       /// Shape of the per-replica decayed latency window.
       WindowedQuantile::Options latency_window;
@@ -71,8 +73,8 @@ class ReplicaSet {
       /// Both the replica and at least one peer need this many windowed
       /// samples before an ejection verdict counts.
       uint64_t eject_min_samples = 32;
-      /// First ejection duration; doubles per consecutive re-ejection
-      /// (shared Backoff schedule), capped at eject_max.
+      /// First ejection duration (the latency breaker's open_base);
+      /// doubles per consecutive re-ejection, capped at eject_max.
       std::chrono::milliseconds eject_base{1000};
       std::chrono::milliseconds eject_max{8000};
       /// Probe successes required before the re-admit verdict runs.
@@ -162,8 +164,8 @@ class ReplicaSet {
   double LatencyQuantile(size_t replica, double q, Clock::time_point now) const;
   /// Latency samples currently inside the replica's window.
   uint64_t LatencySamples(size_t replica, Clock::time_point now) const;
-  /// True while the replica sits in the ejected or probing state of the
-  /// slow-outlier state machine.
+  /// True while the replica's latency breaker is open (ejected) or
+  /// half-open (probing).
   bool slow_ejected(size_t replica) const;
   /// Lifetime count of slow-outlier ejections of one replica.
   uint64_t slow_ejections(size_t replica) const;
@@ -198,38 +200,16 @@ class ReplicaSet {
   std::vector<Table> VisibleTables() const;
 
  private:
-  /// Slow-outlier ejection state machine, mirroring the circuit breaker
-  /// but keyed on *latency* instead of failures:
-  ///   kAdmitted --(quantile > multiple x peer median)--> kEjected
-  ///   kEjected  --(backoff elapsed)-->                   kProbing
-  ///   kProbing  --(probes fast again)-->                 kAdmitted
-  ///   kProbing  --(probes still slow)-->                 kEjected (longer)
-  /// The window is reset on eject->probe so the re-admit verdict judges
-  /// only probe samples, not the stale slowness that caused the ejection.
-  struct TailState {
-    enum class Eject { kAdmitted, kEjected, kProbing };
-    explicit TailState(WindowedQuantile::Options window) : latency(window) {}
-    WindowedQuantile latency;
-    Eject state = Eject::kAdmitted;
-    Clock::time_point readmit_at{};
-    uint64_t consecutive_ejects = 0;
-    size_t probes_in_flight = 0;
-    size_t probe_successes = 0;
-    uint64_t ejections = 0;  // lifetime
-  };
-  enum class TailPermit { kSkip, kGranted, kProbe };
-
-  void InitMetrics(serve::MetricsRegistry* metrics);
+  /// Per-replica breakers, liveness/stale flags and latency tail state,
+  /// plus the metric handles; shared by both constructors.
+  void InitReplicaState(const Options& options);
   void ExportStaleGauge();
-  void ExportEjectedGaugeLocked();
-  /// Admission decision of the ejection state machine for one candidate.
-  TailPermit TailAllow(size_t candidate, Clock::time_point now);
-  /// Returns an unused probe slot (breaker denied after tail granted).
-  void TailReleaseProbe(size_t replica);
-  /// Median of the admitted peers' tracked quantiles; 0 when fewer than
-  /// one peer qualifies (the eject-time floor). Caller holds tail_mu_.
-  double PeerMedianLocked(size_t replica, Clock::time_point now) const;
-  void EvaluateEjectionLocked(size_t replica, Clock::time_point now);
+  void ExportEjectedGauge();
+  /// The peer-median verdict: trips the replica's latency breaker when its
+  /// tracked quantile exceeds eject_multiple x the median of its admitted
+  /// (latency breaker closed) peers' quantiles. Returns whether it did.
+  /// Caller holds tail_mu_.
+  bool EjectIfSlowLocked(size_t replica, Clock::time_point now);
 
   uint32_t shard_id_;
   size_t write_quorum_option_ = 0;
@@ -240,8 +220,15 @@ class ReplicaSet {
   std::vector<std::unique_ptr<std::atomic<bool>>> stale_;
   std::atomic<size_t> next_replica_{0};
 
-  mutable std::mutex tail_mu_;  // guards TailState fields (not `latency`)
-  std::vector<std::unique_ptr<TailState>> tail_;
+  /// Decayed service-latency window per replica.
+  std::vector<std::unique_ptr<WindowedQuantile>> latency_;
+  /// Slow-outlier ejection per replica: a CircuitBreaker tripped only by
+  /// EjectIfSlowLocked (open = ejected, half-open = probing, with one probe
+  /// slot and eject_probes successes to close). Its window is unused.
+  std::vector<std::unique_ptr<serve::CircuitBreaker>> ejectors_;
+  /// Serializes the multi-step ejector sequences: Pick's probe start (with
+  /// its window reset) and RecordOutcome's verdicts.
+  std::mutex tail_mu_;
 
   // Metric handles (null without a registry).
   serve::Counter* outcome_mismatch_ = nullptr;

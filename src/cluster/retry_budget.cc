@@ -4,57 +4,32 @@
 
 namespace lake::cluster {
 
-RetryBudget::RetryBudget() : RetryBudget(Options()) {}
-
-RetryBudget::RetryBudget(Options options) : options_(options) {
-  options_.ratio = std::max(0.0, options_.ratio);
-  options_.window_slices = std::max<size_t>(1, options_.window_slices);
-  if (options_.slice_width.count() <= 0) {
-    options_.slice_width = std::chrono::milliseconds(1);
-  }
-  slices_.resize(options_.window_slices);
-}
-
-uint64_t RetryBudget::TickOf(Clock::time_point now) const {
-  return static_cast<uint64_t>(now.time_since_epoch() / options_.slice_width);
-}
-
-bool RetryBudget::LiveAt(const Slice& slice, uint64_t tick) const {
-  return slice.tick != UINT64_MAX && slice.tick <= tick &&
-         slice.tick + options_.window_slices > tick;
-}
-
-RetryBudget::Slice& RetryBudget::SliceFor(uint64_t tick) {
-  Slice& slice = slices_[tick % slices_.size()];
-  if (slice.tick != tick) slice = Slice{tick, 0, 0};
-  return slice;
-}
+RetryBudget::RetryBudget(Options options)
+    : ratio_(std::max(0.0, options.ratio)),
+      min_tokens_(options.min_tokens),
+      ring_(options.window_slices, options.slice_width) {}
 
 void RetryBudget::RecordRequest(Clock::time_point now) {
-  const uint64_t tick = TickOf(now);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++SliceFor(tick).requests;
+    ++ring_.Current(now).requests;
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool RetryBudget::TryAcquire(Clock::time_point now) {
-  const uint64_t tick = TickOf(now);
   bool granted = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     uint64_t volume = 0, extras = 0;
-    for (const Slice& slice : slices_) {
-      if (LiveAt(slice, tick)) {
-        volume += slice.requests;
-        extras += slice.extras;
-      }
-    }
-    const double cap = options_.ratio * static_cast<double>(volume) +
-                       static_cast<double>(options_.min_tokens);
+    ring_.ForEachLive(now, [&](const Slice& slice) {
+      volume += slice.requests;
+      extras += slice.extras;
+    });
+    const double cap = ratio_ * static_cast<double>(volume) +
+                       static_cast<double>(min_tokens_);
     if (static_cast<double>(extras + 1) <= cap) {
-      ++SliceFor(tick).extras;
+      ++ring_.Current(now).extras;
       granted = true;
     }
   }

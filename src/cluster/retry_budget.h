@@ -5,7 +5,8 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <vector>
+
+#include "util/slice_ring.h"
 
 namespace lake::cluster {
 
@@ -34,7 +35,6 @@ class RetryBudget {
     std::chrono::milliseconds slice_width{1000};
   };
 
-  RetryBudget();  // default Options
   explicit RetryBudget(Options options);
 
   /// Accounts one primary (non-duplicated) sub-query dispatch.
@@ -50,22 +50,16 @@ class RetryBudget {
   uint64_t acquired() const { return acquired_.load(std::memory_order_relaxed); }
   uint64_t denied() const { return denied_.load(std::memory_order_relaxed); }
 
-  const Options& options() const { return options_; }
-
  private:
   struct Slice {
-    uint64_t tick = UINT64_MAX;
     uint64_t requests = 0;
     uint64_t extras = 0;
   };
 
-  uint64_t TickOf(Clock::time_point now) const;
-  bool LiveAt(const Slice& slice, uint64_t tick) const;
-  Slice& SliceFor(uint64_t tick);
-
-  Options options_;
-  mutable std::mutex mu_;
-  std::vector<Slice> slices_;
+  double ratio_;
+  uint64_t min_tokens_;
+  std::mutex mu_;
+  SliceRing<Slice> ring_;
 
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> acquired_{0};

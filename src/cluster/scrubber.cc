@@ -5,35 +5,13 @@
 namespace lake::cluster {
 
 Scrubber::Scrubber(ClusterEngine* cluster, Options options)
-    : cluster_(cluster), options_(options) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-Scrubber::~Scrubber() { Stop(); }
-
-void Scrubber::TriggerNow() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    trigger_ = true;
-  }
-  cv_.notify_one();
-}
-
-void Scrubber::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_one();
-  pass_cv_.notify_all();
-  thread_.join();
-}
-
-uint64_t Scrubber::passes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return passes_;
-}
+    : cluster_(cluster),
+      thread_(std::chrono::milliseconds(options.poll_interval_ms),
+              [this](bool /*triggered*/) {
+                ClusterEngine::ScrubReport report = cluster_->ScrubOnce();
+                std::lock_guard<std::mutex> lock(mu_);
+                last_report_ = report;
+              }) {}
 
 ClusterEngine::ScrubReport Scrubber::last_report() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -41,36 +19,8 @@ ClusterEngine::ScrubReport Scrubber::last_report() const {
 }
 
 ClusterEngine::ScrubReport Scrubber::RunPassAndWait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // A pass executing right now snapshotted digests before this call; wait
-  // for one more completion beyond it so the returned pass began here.
-  const uint64_t target = passes_ + (running_ ? 2 : 1);
-  trigger_ = true;
-  cv_.notify_one();
-  pass_cv_.wait(lock, [&] { return passes_ >= target || stop_; });
-  return last_report_;
-}
-
-void Scrubber::Loop() {
-  while (true) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock,
-                   std::chrono::milliseconds(options_.poll_interval_ms),
-                   [this] { return stop_ || trigger_; });
-      if (stop_) return;
-      trigger_ = false;
-      running_ = true;
-    }
-    ClusterEngine::ScrubReport report = cluster_->ScrubOnce();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      running_ = false;
-      last_report_ = report;
-      ++passes_;
-    }
-    pass_cv_.notify_all();
-  }
+  thread_.RunPassAndWait();
+  return last_report();
 }
 
 }  // namespace lake::cluster

@@ -1,12 +1,11 @@
 #ifndef LAKE_CLUSTER_SCRUBBER_H_
 #define LAKE_CLUSTER_SCRUBBER_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 
 #include "cluster/cluster_engine.h"
+#include "util/periodic_thread.h"
 
 namespace lake::cluster {
 
@@ -15,7 +14,8 @@ namespace lake::cluster {
 /// compare replica content digests per shard, drill down to per-table
 /// digests on mismatch, repair divergent replicas from a majority-agreeing
 /// peer, re-admit them. One scrubber per cluster; the steady-state pass is
-/// R atomic digest loads per shard, so the cadence can be aggressive.
+/// R atomic digest loads per shard, so the cadence can be aggressive. Its
+/// loop is a util PeriodicThread.
 class Scrubber {
  public:
   struct Options {
@@ -26,14 +26,13 @@ class Scrubber {
   /// `cluster` must outlive the scrubber.
   Scrubber(ClusterEngine* cluster, Options options);
   explicit Scrubber(ClusterEngine* cluster) : Scrubber(cluster, Options{}) {}
-  ~Scrubber();
 
   Scrubber(const Scrubber&) = delete;
   Scrubber& operator=(const Scrubber&) = delete;
 
   /// Requests an immediate pass and wakes the thread; returns without
   /// waiting for it to finish.
-  void TriggerNow();
+  void TriggerNow() { thread_.TriggerNow(); }
 
   /// Triggers a pass that STARTS after this call (an in-flight pass may
   /// have missed just-injected divergence), blocks until it completes,
@@ -43,27 +42,18 @@ class Scrubber {
 
   /// Stops the thread (idempotent; also run by the destructor). An
   /// in-progress pass finishes first.
-  void Stop();
+  void Stop() { thread_.Stop(); }
 
-  uint64_t passes() const;
+  uint64_t passes() const { return thread_.passes(); }
   ClusterEngine::ScrubReport last_report() const;
 
  private:
-  void Loop();
-
   ClusterEngine* cluster_;
-  Options options_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;       // wakes the loop (trigger/stop)
-  std::condition_variable pass_cv_;  // signals pass completion to waiters
-  bool stop_ = false;
-  bool trigger_ = false;
-  bool running_ = false;  // a pass is executing outside the lock
-  uint64_t passes_ = 0;
+  mutable std::mutex mu_;  // guards last_report_
   ClusterEngine::ScrubReport last_report_;
 
-  std::thread thread_;
+  PeriodicThread thread_;  // last: stops before the state it touches dies
 };
 
 }  // namespace lake::cluster

@@ -11,29 +11,9 @@ Compactor::Compactor(LiveEngine* engine, Options options)
     : engine_(engine),
       options_(options),
       backoff_(Backoff::Options{options.backoff_initial_ms,
-                                options.backoff_max_ms, /*jitter=*/0}) {
-  thread_ = std::thread([this] { Loop(); });
-}
-
-Compactor::~Compactor() { Stop(); }
-
-void Compactor::TriggerNow() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    trigger_ = true;
-  }
-  cv_.notify_one();
-}
-
-void Compactor::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_one();
-  thread_.join();
-}
+                                options.backoff_max_ms, /*jitter=*/0}),
+      thread_(std::chrono::milliseconds(options.poll_interval_ms),
+              [this](bool forced) { Pass(forced); }) {}
 
 uint64_t Compactor::runs() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -55,46 +35,39 @@ uint64_t Compactor::backoff_ms() const {
   return backoff_ms_;
 }
 
-void Compactor::Loop() {
-  while (true) {
-    bool forced = false;
+void Compactor::Pass(bool forced) {
+  if (!forced) {
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait_for(lock,
-                   std::chrono::milliseconds(options_.poll_interval_ms),
-                   [this] { return stop_ || trigger_; });
-      if (stop_) return;
-      forced = trigger_;
-      trigger_ = false;
       // Graceful degradation after a failed build (ENOSPC, injected
       // fault): the old generation keeps serving and retries are spaced
       // by capped exponential backoff instead of hammering a full disk
       // every poll tick. An explicit TriggerNow() bypasses the gate so
       // tests and operators can force a retry.
-      if (!forced && backoff_ms_ != 0 &&
+      std::lock_guard<std::mutex> lock(mu_);
+      if (backoff_ms_ != 0 &&
           std::chrono::steady_clock::now() < next_attempt_) {
-        continue;
+        return;
       }
     }
-    if (!forced && !engine_->CompactionNeeded(options_.max_delta_tables,
-                                              options_.max_tombstone_ratio)) {
-      continue;
+    if (!engine_->CompactionNeeded(options_.max_delta_tables,
+                                   options_.max_tombstone_ratio)) {
+      return;
     }
-    Result<LiveEngine::CompactionStats> stats = engine_->Compact();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stats.ok()) {
-      ++runs_;
-      last_stats_ = stats.value();
-      backoff_.Reset();
-      backoff_ms_ = 0;
-    } else {
-      ++failures_;
-      backoff_ms_ = backoff_.NextDelayMs();
-      next_attempt_ = std::chrono::steady_clock::now() +
-                      std::chrono::milliseconds(backoff_ms_);
-      LAKE_LOG(Warning) << "compaction failed (retry in " << backoff_ms_
-                        << " ms): " << stats.status().ToString();
-    }
+  }
+  Result<LiveEngine::CompactionStats> stats = engine_->Compact();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (stats.ok()) {
+    ++runs_;
+    last_stats_ = stats.value();
+    backoff_.Reset();
+    backoff_ms_ = 0;
+  } else {
+    ++failures_;
+    backoff_ms_ = backoff_.NextDelayMs();
+    next_attempt_ = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(backoff_ms_);
+    LAKE_LOG(Warning) << "compaction failed (retry in " << backoff_ms_
+                      << " ms): " << stats.status().ToString();
   }
 }
 

@@ -2,13 +2,12 @@
 #define LAKE_INGEST_COMPACTOR_H_
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <thread>
 
 #include "ingest/live_engine.h"
 #include "util/backoff.h"
+#include "util/periodic_thread.h"
 
 namespace lake::ingest {
 
@@ -16,7 +15,8 @@ namespace lake::ingest {
 /// and tombstone ratio and folds the delta into a fresh base when either
 /// threshold trips (LiveEngine::Compact — the heavy build runs off the
 /// serving path; queries and ingestion continue against the old
-/// generation until the atomic swap). One compactor per engine.
+/// generation until the atomic swap). One compactor per engine; its loop
+/// is a util PeriodicThread.
 class Compactor {
  public:
   struct Options {
@@ -38,18 +38,17 @@ class Compactor {
   /// `engine` must outlive the compactor.
   Compactor(LiveEngine* engine, Options options);
   explicit Compactor(LiveEngine* engine) : Compactor(engine, Options{}) {}
-  ~Compactor();
 
   Compactor(const Compactor&) = delete;
   Compactor& operator=(const Compactor&) = delete;
 
   /// Requests an immediate compaction regardless of thresholds and wakes
   /// the thread; returns without waiting for it to finish.
-  void TriggerNow();
+  void TriggerNow() { thread_.TriggerNow(); }
 
   /// Stops the thread (idempotent; also run by the destructor). An
   /// in-progress compaction finishes first.
-  void Stop();
+  void Stop() { thread_.Stop(); }
 
   uint64_t runs() const;
   uint64_t failures() const;
@@ -58,15 +57,14 @@ class Compactor {
   uint64_t backoff_ms() const;
 
  private:
-  void Loop();
+  /// One policy pass; `forced` (TriggerNow) skips the thresholds and the
+  /// backoff gate.
+  void Pass(bool forced);
 
   LiveEngine* engine_;
   Options options_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  bool trigger_ = false;
+  mutable std::mutex mu_;  // guards the stats and backoff state below
   uint64_t runs_ = 0;
   uint64_t failures_ = 0;
   LiveEngine::CompactionStats last_stats_;
@@ -74,7 +72,7 @@ class Compactor {
   uint64_t backoff_ms_ = 0;  // 0 = healthy, else current retry delay
   std::chrono::steady_clock::time_point next_attempt_{};  // gate while backing off
 
-  std::thread thread_;
+  PeriodicThread thread_;  // last: stops before the state it touches dies
 };
 
 }  // namespace lake::ingest

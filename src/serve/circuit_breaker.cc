@@ -7,47 +7,21 @@
 
 namespace lake::serve {
 
-namespace {
-bool IsSet(CircuitBreaker::Clock::time_point t) {
-  return t.time_since_epoch().count() != 0;
-}
-}  // namespace
-
-CircuitBreaker::CircuitBreaker(Options options) : options_(options) {
-  options_.window_buckets = std::max<size_t>(1, options_.window_buckets);
+CircuitBreaker::CircuitBreaker(Options options)
+    : options_(options),
+      window_(options.window_buckets, options.bucket_width) {
   options_.half_open_max_probes =
       std::max<size_t>(1, options_.half_open_max_probes);
   options_.close_after_successes =
       std::max<size_t>(1, options_.close_after_successes);
-  buckets_.resize(options_.window_buckets);
 }
 
-void CircuitBreaker::RollWindow(Clock::time_point now) {
-  if (!IsSet(bucket_start_)) {
-    bucket_start_ = now;
-    return;
-  }
-  // Advance (and zero) one bucket per elapsed bucket_width; a gap longer
-  // than the whole window just clears it.
-  while (now - bucket_start_ >= options_.bucket_width) {
-    current_bucket_ = (current_bucket_ + 1) % buckets_.size();
-    buckets_[current_bucket_] = Bucket{};
-    bucket_start_ += options_.bucket_width;
-    if (now - bucket_start_ >=
-        options_.bucket_width * static_cast<int>(buckets_.size())) {
-      for (Bucket& b : buckets_) b = Bucket{};
-      bucket_start_ = now;
-      break;
-    }
-  }
-}
-
-double CircuitBreaker::FailureRateLocked() const {
+double CircuitBreaker::FailureRateLocked(Clock::time_point now) const {
   uint64_t successes = 0, failures = 0;
-  for (const Bucket& b : buckets_) {
+  window_.ForEachLive(now, [&](const Bucket& b) {
     successes += b.successes;
     failures += b.failures;
-  }
+  });
   const uint64_t total = successes + failures;
   if (total < options_.min_volume) return 0;
   return static_cast<double>(failures) / static_cast<double>(total);
@@ -67,8 +41,7 @@ void CircuitBreaker::TripLocked(Clock::time_point now) {
   ++consecutive_opens_;
   probes_in_flight_ = 0;
   probe_successes_ = 0;
-  for (Bucket& b : buckets_) b = Bucket{};
-  bucket_start_ = {};
+  window_.Reset();
 }
 
 CircuitBreaker::Permit CircuitBreaker::Allow(Clock::time_point now) {
@@ -97,13 +70,11 @@ void CircuitBreaker::RecordSuccess(Clock::time_point now) {
       if (++probe_successes_ >= options_.close_after_successes) {
         state_ = State::kClosed;
         consecutive_opens_ = 0;
-        for (Bucket& b : buckets_) b = Bucket{};
-        bucket_start_ = {};
+        window_.Reset();
       }
       return;
     case State::kClosed:
-      RollWindow(now);
-      ++buckets_[current_bucket_].successes;
+      ++window_.Current(now).successes;
       return;
     case State::kOpen:
       return;  // straggler admitted before the trip: window was reset
@@ -117,13 +88,12 @@ void CircuitBreaker::RecordFailure(Clock::time_point now) {
       // One failed probe reopens with a longer backoff.
       TripLocked(now);
       return;
-    case State::kClosed: {
-      RollWindow(now);
-      ++buckets_[current_bucket_].failures;
-      const double rate = FailureRateLocked();
-      if (rate >= options_.failure_threshold) TripLocked(now);
+    case State::kClosed:
+      ++window_.Current(now).failures;
+      if (FailureRateLocked(now) >= options_.failure_threshold) {
+        TripLocked(now);
+      }
       return;
-    }
     case State::kOpen:
       return;
   }
@@ -137,20 +107,25 @@ void CircuitBreaker::RecordNeutral(Clock::time_point now) {
   }
 }
 
-CircuitBreaker::State CircuitBreaker::state(Clock::time_point now) {
+void CircuitBreaker::Trip(Clock::time_point now) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (state_ == State::kOpen && now >= reopen_at_) {
-    state_ = State::kHalfOpen;
-    probes_in_flight_ = 0;
-    probe_successes_ = 0;
-  }
+  TripLocked(now);
+}
+
+CircuitBreaker::State CircuitBreaker::state(Clock::time_point now) const {
+  (void)now;
+  std::lock_guard<std::mutex> lock(mu_);
   return state_;
 }
 
-double CircuitBreaker::failure_rate(Clock::time_point now) {
+size_t CircuitBreaker::probe_successes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (state_ == State::kClosed) RollWindow(now);
-  return FailureRateLocked();
+  return probe_successes_;
+}
+
+double CircuitBreaker::failure_rate(Clock::time_point now) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return FailureRateLocked(now);
 }
 
 uint64_t CircuitBreaker::trips() const {
@@ -168,6 +143,19 @@ const char* CircuitBreaker::StateName(State s) {
       return "half_open";
   }
   return "unknown";
+}
+
+bool CircuitBreaker::IsFailure(const Status& status) {
+  switch (status.code()) {
+    case StatusCode::kDeadlineExceeded:
+    case StatusCode::kInternal:
+    case StatusCode::kIoError:
+    case StatusCode::kFailedPrecondition:
+    case StatusCode::kUnavailable:
+      return true;
+    default:
+      return false;
+  }
 }
 
 CircuitBreaker* BreakerSet::Get(const std::string& modality) {

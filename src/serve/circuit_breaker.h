@@ -11,22 +11,32 @@
 #include <utility>
 #include <vector>
 
+#include "util/slice_ring.h"
+#include "util/status.h"
+
 namespace lake::serve {
 
-/// Rolling-window circuit breaker guarding one query modality (one
-/// (QueryKind, method) pair). A modality whose error/timeout rate over the
-/// recent window crosses the threshold *trips*: calls are refused
-/// instantly (the serving layer answers kUnavailable or browns out to a
-/// cheaper method) instead of feeding more pool threads into a hung or
-/// unbuilt index. After a capped exponential backoff the breaker goes
-/// half-open and admits a bounded number of probe calls; enough probe
-/// successes close it, one probe failure reopens it with a longer backoff.
+/// Rolling-window circuit breaker. A dependency whose error/timeout rate
+/// over the recent window crosses the threshold *trips*: calls are refused
+/// instantly instead of feeding more threads into a hung or unbuilt
+/// dependency. After a capped exponential backoff the next Allow opens a
+/// half-open probe period that admits a bounded number of probe calls;
+/// enough probe successes close it, one probe failure reopens it with a
+/// longer backoff.
+///
+/// Two users. serve::QueryService keeps one per query modality (one
+/// (QueryKind, method) pair, through BreakerSet) and answers kUnavailable
+/// or browns out to a cheaper method while it is open.
+/// cluster::ReplicaSet keeps two per replica: one trips on failures like
+/// the serving layer's, and one trips on latency, through Trip(), when
+/// the replica is a slow outlier among its peers, so slow-replica ejection
+/// runs on the same exclude -> backoff -> probe -> re-admit cycle.
 ///
 /// Outcomes are accounted in `window_buckets` time buckets of
-/// `bucket_width` each, so old failures age out instead of poisoning the
-/// rate forever. All methods take an explicit `now` for deterministic
-/// tests; everything is guarded by one short mutex (a handful of integer
-/// ops per query).
+/// `bucket_width` each (a SliceRing), so old failures age out instead of
+/// poisoning the rate forever. All methods take an explicit `now` for
+/// deterministic tests; everything is guarded by one short mutex (a
+/// handful of integer ops per query).
 class CircuitBreaker {
  public:
   using Clock = std::chrono::steady_clock;
@@ -60,8 +70,9 @@ class CircuitBreaker {
   CircuitBreaker(const CircuitBreaker&) = delete;
   CircuitBreaker& operator=(const CircuitBreaker&) = delete;
 
-  /// May a call proceed now? Advances open -> half-open when the backoff
-  /// has elapsed.
+  /// May a call proceed now? An open breaker whose backoff has elapsed
+  /// moves to half-open here, and only here: this call starts the probe
+  /// period.
   Permit Allow(Clock::time_point now);
 
   /// Outcome of an allowed call. Success/failure feed the window (closed)
@@ -71,33 +82,48 @@ class CircuitBreaker {
   void RecordFailure(Clock::time_point now);
   void RecordNeutral(Clock::time_point now);
 
-  /// Current state (advances open -> half-open on read, like Allow).
-  State state(Clock::time_point now);
+  /// Opens the breaker on the caller's own verdict, exactly as a failed
+  /// rate check or a failed probe would (the backoff doubles per
+  /// consecutive open). ReplicaSet's latency breaker trips only this way.
+  void Trip(Clock::time_point now);
+
+  /// Current state. A pure read: an open breaker stays open after its
+  /// backoff until an Allow starts the probe period, so reading peers'
+  /// health never advances them. `now` is accepted for symmetry with the
+  /// other calls.
+  State state(Clock::time_point now) const;
+
+  /// Probe successes so far in the current half-open period.
+  size_t probe_successes() const;
 
   /// Failure fraction over the live window (0 when below min_volume).
-  double failure_rate(Clock::time_point now);
+  double failure_rate(Clock::time_point now) const;
 
   /// Lifetime closed->open transitions (includes half-open reopens).
   uint64_t trips() const;
 
   static const char* StateName(State s);
 
+  /// Should an outcome with this status count against a breaker?
+  /// Timeouts, internal/I/O errors, an unbuilt index and an unavailable
+  /// dependency all mean it cannot serve right now. Any other error
+  /// (cancellation, the caller's own bad request) says nothing about it
+  /// and is recorded neutrally. Both users share this taxonomy.
+  static bool IsFailure(const Status& status);
+
  private:
-  void RollWindow(Clock::time_point now);
-  void TripLocked(Clock::time_point now);
-  double FailureRateLocked() const;
-
-  Options options_;
-  mutable std::mutex mu_;
-  State state_ = State::kClosed;
-
   struct Bucket {
     uint64_t successes = 0;
     uint64_t failures = 0;
   };
-  std::vector<Bucket> buckets_;
-  size_t current_bucket_ = 0;
-  Clock::time_point bucket_start_{};  // unset until the first outcome
+
+  void TripLocked(Clock::time_point now);
+  double FailureRateLocked(Clock::time_point now) const;
+
+  Options options_;
+  mutable std::mutex mu_;
+  State state_ = State::kClosed;
+  SliceRing<Bucket> window_;
 
   Clock::time_point reopen_at_{};
   uint64_t consecutive_opens_ = 0;

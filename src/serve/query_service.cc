@@ -122,29 +122,12 @@ std::string ModalityNameFor(QueryKind kind, JoinMethod join_method,
   return "unknown";
 }
 
-/// Should this outcome count against the modality's circuit breaker?
-/// Timeouts, internal/I/O errors, and an unbuilt index all mean the
-/// modality cannot currently serve. Cancellation is the caller's
-/// choice and says nothing about the dependency.
-bool BreakerFailure(const Status& status) {
-  switch (status.code()) {
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kInternal:
-    case StatusCode::kIoError:
-    case StatusCode::kFailedPrecondition:
-    case StatusCode::kUnavailable:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void RecordOutcome(CircuitBreaker* breaker, const Status& status,
                    Clock::time_point now) {
   if (breaker == nullptr) return;
   if (status.ok()) {
     breaker->RecordSuccess(now);
-  } else if (BreakerFailure(status)) {
+  } else if (CircuitBreaker::IsFailure(status)) {
     breaker->RecordFailure(now);
   } else {
     breaker->RecordNeutral(now);
@@ -797,7 +780,7 @@ void QueryService::ExecutePlan(const QueryRequest& request,
   // Failure brownout: the primary failed for a breaker-worthy reason
   // (hung past a timeout, internal error, unbuilt index) and there is
   // budget left — answer with the cheap method rather than the error.
-  if (!response->status.ok() && BreakerFailure(response->status) &&
+  if (CircuitBreaker::IsFailure(response->status) &&
       cancel->Remaining() > std::chrono::nanoseconds::zero()) {
     QueryResponse failed = std::move(*response);
     *response = QueryResponse{};

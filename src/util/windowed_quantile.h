@@ -5,7 +5,8 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
-#include <vector>
+
+#include "util/slice_ring.h"
 
 namespace lake {
 
@@ -49,23 +50,18 @@ class WindowedQuantile {
   /// Samples still inside the window.
   uint64_t count(Clock::time_point now) const;
 
-  /// Drops all samples (used on replica re-admission so stale slowness
-  /// does not immediately re-eject a recovered replica).
+  /// Drops all samples (used when a slow-ejected replica's probe period
+  /// begins, so the re-admit verdict judges only probe-era samples).
   void Reset();
 
  private:
   struct Slice {
-    uint64_t tick = UINT64_MAX;  // slice index since epoch; UINT64_MAX = empty
     uint64_t total = 0;
     std::array<uint32_t, kValueBuckets> buckets{};
   };
 
-  uint64_t TickOf(Clock::time_point now) const;
-  bool LiveAt(const Slice& slice, uint64_t tick) const;
-
-  Options options_;
   mutable std::mutex mu_;
-  std::vector<Slice> slices_;
+  SliceRing<Slice> ring_;
 };
 
 }  // namespace lake

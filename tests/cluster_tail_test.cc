@@ -420,6 +420,92 @@ TEST_F(ReplicaSetTailTest, PickFallsBackToEjectedReplicaAsLastResort) {
   EXPECT_EQ(route.replica, 0u);
 }
 
+TEST_F(ReplicaSetTailTest, LastResortSamplesDoNotCountTowardReadmission) {
+  ReplicaSet rs(0, catalog_, SetOptions(2));
+  const auto now = ReplicaSet::Clock::now();
+  Feed(rs, 1, 20, 100.0, now);
+  Feed(rs, 0, 20, 3000.0, now);
+  ASSERT_TRUE(rs.slow_ejected(0));
+
+  // While ejected, replica 0 serves as the last resort with fast answers.
+  // They are neither probes nor probe-period samples.
+  rs.Kill(1);
+  const auto ejected_time = now + milliseconds(20);  // before eject_base
+  for (int i = 0; i < 10; ++i) {
+    ReplicaSet::Route route;
+    ASSERT_TRUE(rs.Pick(ejected_time, SIZE_MAX, &route));
+    ASSERT_EQ(route.replica, 0u);
+    rs.RecordOutcome(0, true, ejected_time, 100.0);
+  }
+  EXPECT_TRUE(rs.slow_ejected(0));
+  rs.Revive(1);
+
+  // After the backoff, re-admission still takes exactly eject_probes
+  // probes.
+  const auto probe_time = now + milliseconds(60);
+  size_t probes_of_zero = 0;
+  while (rs.slow_ejected(0)) {
+    ReplicaSet::Route route;
+    ASSERT_TRUE(rs.Pick(probe_time, SIZE_MAX, &route));
+    if (route.replica == 0) {
+      ++probes_of_zero;
+      rs.RecordOutcome(0, true, probe_time, 120.0);
+    } else {
+      rs.RecordOutcome(route.replica, true, probe_time, 100.0);
+    }
+    ASSERT_LT(probes_of_zero, 100u) << "replica 0 never re-admitted";
+  }
+  EXPECT_EQ(probes_of_zero, 3u);
+  EXPECT_EQ(rs.slow_ejections(0), 1u);
+}
+
+TEST_F(ReplicaSetTailTest, RepeatedReEjectionsCapTheBackoffAtEjectMax) {
+  ReplicaSet rs(0, catalog_, SetOptions(3));
+  const auto now = ReplicaSet::Clock::now();
+  Feed(rs, 1, 20, 100.0, now);
+  Feed(rs, 2, 20, 100.0, now);
+  Feed(rs, 0, 20, 3000.0, now);
+  ASSERT_EQ(rs.slow_ejections(0), 1u);
+
+  // Probes replica 0 at `t` with slow answers until it is re-ejected.
+  auto re_eject = [&](ReplicaSet::Clock::time_point t) {
+    const uint64_t before = rs.slow_ejections(0);
+    size_t probes = 0;
+    while (rs.slow_ejections(0) == before) {
+      ReplicaSet::Route route;
+      ASSERT_TRUE(rs.Pick(t, SIZE_MAX, &route));
+      if (route.replica == 0) {
+        ++probes;
+        rs.RecordOutcome(0, true, t, 3000.0);
+      } else {
+        rs.RecordOutcome(route.replica, true, t, 100.0);
+      }
+      ASSERT_LT(probes, 100u) << "replica 0 never re-ejected";
+    }
+  };
+  // eject_base 50ms doubles to 100ms, then 200ms = eject_max.
+  const auto t1 = now + milliseconds(60);
+  re_eject(t1);
+  const auto t2 = t1 + milliseconds(110);
+  re_eject(t2);
+  const auto t3 = t2 + milliseconds(210);
+  re_eject(t3);
+  ASSERT_EQ(rs.slow_ejections(0), 4u);
+
+  // The fourth ejection lasts eject_max (200ms), not the doubled 400ms.
+  auto probed_at = [&](ReplicaSet::Clock::time_point t) {
+    bool probed = false;
+    for (int i = 0; i < 6; ++i) {
+      ReplicaSet::Route route;
+      EXPECT_TRUE(rs.Pick(t, SIZE_MAX, &route));
+      if (route.replica == 0) probed = true;
+    }
+    return probed;
+  };
+  EXPECT_FALSE(probed_at(t3 + milliseconds(190)));
+  EXPECT_TRUE(probed_at(t3 + milliseconds(210)));
+}
+
 TEST_F(ClusterTailTest, HealthExportsLatencyAndEjectionState) {
   ClusterEngine::Options opts = ClusterOptions(1, /*replicas=*/2);
   opts.tail.replica.eject_multiple = 3.0;
@@ -456,6 +542,29 @@ TEST_F(ClusterTailTest, HealthExportsLatencyAndEjectionState) {
   // The service health surface carries the rollup.
   const auto snapshot = service.Health();
   EXPECT_EQ(snapshot.ejected_replicas, 1u);
+}
+
+TEST_F(ClusterTailTest, NonFailureErrorFreesTheReplicaProbeSlot) {
+  ClusterEngine::Options opts = ClusterOptions(1, /*replicas=*/1);
+  opts.breaker.min_volume = 1;  // one failed query trips the breaker
+  opts.breaker.open_base = milliseconds(10);
+  opts.max_failover_attempts = 1;
+  ClusterEngine cluster(lake(), opts);
+
+  FaultSpec spec;
+  spec.kind = FaultSpec::Kind::kError;
+  spec.max_fires = 1;
+  FailpointRegistry::Instance().Arm("cluster.exec.0.0", spec);
+  ASSERT_FALSE(cluster.Keyword(lake_->topic_of[0], 5).status.ok());
+  std::this_thread::sleep_for(milliseconds(30));
+
+  // The probe goes to a request the replica rejects as the caller's own
+  // error. That says nothing about the replica: the probe slot must come
+  // back, or the replica would stay half-open with no slot forever.
+  const ColumnQueryResponse bad = cluster.Joinable(
+      {"a", "b"}, static_cast<JoinMethod>(99), 5);
+  ASSERT_EQ(bad.status.code(), StatusCode::kInvalidArgument) << bad.status;
+  EXPECT_TRUE(cluster.Keyword(lake_->topic_of[0], 5).status.ok());
 }
 
 // --- Metastable-failure regression ---------------------------------------

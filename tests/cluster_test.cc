@@ -18,6 +18,7 @@
 #include "table/csv.h"
 #include "util/failpoint.h"
 #include "util/random.h"
+#include "util/string_util.h"
 
 namespace lake::cluster {
 namespace {
@@ -56,7 +57,7 @@ TEST(HashRingTest, VirtualNodesBalanceOwnership) {
   std::map<uint32_t, size_t> owned;
   const size_t kNames = 4000;
   for (size_t i = 0; i < kNames; ++i) {
-    ++owned[ring.OwnerOf("t" + std::to_string(i))];
+    ++owned[ring.OwnerOf(StrFormat("t%zu", i))];
   }
   // Perfect balance would be 25% each; 64 vnodes keep every shard within
   // a loose band around it.
@@ -82,7 +83,7 @@ TEST(HashRingTest, GrowingMovesOnlyToTheNewShard) {
   size_t moved = 0;
   const size_t kNames = 3000;
   for (size_t i = 0; i < kNames; ++i) {
-    const std::string name = "t" + std::to_string(i);
+    const std::string name = StrFormat("t%zu", i);
     const uint32_t old_owner = before.OwnerOf(name);
     const uint32_t new_owner = after.OwnerOf(name);
     if (old_owner != new_owner) {
@@ -508,9 +509,10 @@ TEST_F(ClusterEngineTest, JoinFillsKWhenARemovedTableOwnsSeveralTopColumns) {
     for (size_t v = 0; v < query.size(); ++v) {
       csv += v + 2 * t < query.size()
                  ? query[v] + "\n"
-                 : "t" + std::to_string(t) + "_" + std::to_string(v) + "\n";
+                 : std::string("t") + std::to_string(t) + "_" +
+                       std::to_string(v) + "\n";
     }
-    add_csv("t" + std::to_string(t), csv);
+    add_csv(std::string("t") + std::to_string(t), csv);
   }
 
   ingest::LiveEngine::Options live_options;

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -10,8 +12,10 @@
 #include "util/backoff.h"
 #include "util/failpoint.h"
 #include "util/hash.h"
+#include "util/periodic_thread.h"
 #include "util/random.h"
 #include "util/serialize.h"
+#include "util/slice_ring.h"
 #include "util/status.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
@@ -558,6 +562,140 @@ TEST(WindowedQuantileTest, LargeValuesClampToLastBucket) {
   wq.Record(1e18, now);  // absurd sample must not crash or wrap
   EXPECT_EQ(wq.count(now), 1u);
   EXPECT_GT(wq.Quantile(0.5, now), 1e6);
+}
+
+// --------------------------------------------------------------- SliceRing
+
+using Ring = SliceRing<uint64_t>;
+
+Ring::Clock::time_point RingAt(int64_t ms) {
+  return Ring::Clock::time_point() + std::chrono::milliseconds(ms);
+}
+
+uint64_t LiveSum(const Ring& ring, Ring::Clock::time_point now) {
+  uint64_t sum = 0;
+  ring.ForEachLive(now, [&](const uint64_t& v) { sum += v; });
+  return sum;
+}
+
+TEST(SliceRingTest, SliceRollsOffAtTheExactWindowEdge) {
+  Ring ring(4, std::chrono::milliseconds(100));  // 400ms window
+  ring.Current(RingAt(0)) += 1;     // tick 0
+  ring.Current(RingAt(150)) += 10;  // tick 1
+  EXPECT_EQ(LiveSum(ring, RingAt(399)), 11u);  // ticks 0..3
+  EXPECT_EQ(LiveSum(ring, RingAt(400)), 10u);  // ticks 1..4: tick 0 is out
+  EXPECT_EQ(LiveSum(ring, RingAt(499)), 10u);
+  EXPECT_EQ(LiveSum(ring, RingAt(500)), 0u);   // ticks 2..5: tick 1 is out
+  // Tick 4 reuses tick 0's slot and starts it from zero.
+  EXPECT_EQ(ring.Current(RingAt(400)), 0u);
+}
+
+TEST(SliceRingTest, GapLongerThanTheWindowFindsEverySlotStale) {
+  Ring ring(4, std::chrono::milliseconds(100));
+  for (int ms = 0; ms < 400; ms += 100) ring.Current(RingAt(ms)) += 1;
+  EXPECT_EQ(LiveSum(ring, RingAt(399)), 4u);
+  // Ten windows later nothing is live, and a new slice counts alone even
+  // though the other slots still hold their old ticks.
+  EXPECT_EQ(LiveSum(ring, RingAt(4350)), 0u);
+  ring.Current(RingAt(4350)) += 7;
+  EXPECT_EQ(LiveSum(ring, RingAt(4350)), 7u);
+  // A `now` before a slot's tick does not count that slot either.
+  EXPECT_EQ(LiveSum(ring, RingAt(4250)), 0u);
+}
+
+TEST(SliceRingTest, ResetEmptiesTheWindow) {
+  Ring ring(4, std::chrono::milliseconds(100));
+  ring.Current(RingAt(0)) += 3;
+  ring.Current(RingAt(100)) += 4;
+  ASSERT_EQ(LiveSum(ring, RingAt(100)), 7u);
+  ring.Reset();
+  EXPECT_EQ(LiveSum(ring, RingAt(100)), 0u);
+  EXPECT_EQ(ring.Current(RingAt(100)), 0u);
+  ring.Current(RingAt(100)) += 2;
+  EXPECT_EQ(LiveSum(ring, RingAt(100)), 2u);
+}
+
+TEST(SliceRingTest, DegenerateShapeClampsToOneSliceOfOneMs) {
+  Ring ring(0, std::chrono::milliseconds(0));
+  ring.Current(RingAt(5)) += 1;
+  EXPECT_EQ(LiveSum(ring, RingAt(5)), 1u);
+  EXPECT_EQ(LiveSum(ring, RingAt(6)), 0u);
+}
+
+// Several threads each write the current slice and read the window under
+// the owner's mutex, as CircuitBreaker, RetryBudget and WindowedQuantile
+// do, while the shared clock rolls slots over. Every read must see
+// exactly the writes of the last 8 ticks. The TSan CI job runs this: the
+// ring must keep no state outside the object the owner guards.
+TEST(SliceRingTest, ConcurrentCurrentAndLiveIterationFromSeveralThreads) {
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kRounds = 2000;
+  constexpr uint64_t kSlices = 8;
+  constexpr int64_t kWidthMs = 10;
+  Ring ring(kSlices, std::chrono::milliseconds(kWidthMs));
+  std::mutex mu;
+  uint64_t steps = 0;  // guarded by mu; kThreads steps per clock ms
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (uint64_t i = 0; i < kRounds; ++i) {
+        std::lock_guard<std::mutex> lock(mu);
+        const uint64_t step = steps++;
+        const int64_t ms = static_cast<int64_t>(step / kThreads);
+        ring.Current(RingAt(ms)) += 1;
+        const int64_t tick = ms / kWidthMs;
+        const int64_t first_live_tick =
+            std::max<int64_t>(0, tick - static_cast<int64_t>(kSlices) + 1);
+        const uint64_t first_live_step =
+            static_cast<uint64_t>(first_live_tick * kWidthMs) * kThreads;
+        if (LiveSum(ring, RingAt(ms)) != step + 1 - first_live_step) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  // The final window holds the last 80ms of writes: 4 per ms.
+  EXPECT_EQ(LiveSum(ring, RingAt(kRounds - 1)), kThreads * 80);
+}
+
+// ---------------------------------------------------------- PeriodicThread
+
+TEST(PeriodicThreadTest, RunPassAndWaitAwaitsAPassThatStartsAfterTheCall) {
+  std::atomic<int> value{0};
+  std::atomic<int> seen{-1};
+  // A long interval: only triggers run passes during the test.
+  PeriodicThread thread(std::chrono::milliseconds(60000), [&](bool triggered) {
+    EXPECT_TRUE(triggered);
+    seen = value.load();
+  });
+  value = 1;
+  thread.RunPassAndWait();
+  EXPECT_EQ(seen.load(), 1);
+  EXPECT_EQ(thread.passes(), 1u);
+  value = 2;
+  thread.RunPassAndWait();
+  EXPECT_EQ(seen.load(), 2);
+  thread.Stop();
+  thread.Stop();  // idempotent
+  thread.RunPassAndWait();  // stopped: returns at once
+  EXPECT_EQ(thread.passes(), 2u);
+}
+
+TEST(PeriodicThreadTest, IntervalRunsPassesUntriggered) {
+  std::atomic<int> untriggered{0};
+  PeriodicThread thread(std::chrono::milliseconds(1), [&](bool triggered) {
+    if (!triggered) ++untriggered;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (untriggered.load() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(untriggered.load(), 3);
 }
 
 }  // namespace
