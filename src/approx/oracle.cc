@@ -1,7 +1,9 @@
 #include "approx/oracle.h"
 
 #include <algorithm>
+#include <cmath>
 
+#include "embed/word_embedding.h"
 #include "text/normalizer.h"
 #include "util/top_k.h"
 
@@ -28,6 +30,17 @@ size_t CountIn(const std::set<std::string>& a, const std::set<std::string>& b,
   return matches;
 }
 
+double Cosine(const std::vector<float>& a, const std::vector<float>& b) {
+  double dot = 0, aa = 0, bb = 0;
+  for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+    dot += static_cast<double>(a[i]) * b[i];
+    aa += static_cast<double>(a[i]) * a[i];
+    bb += static_cast<double>(b[i]) * b[i];
+  }
+  if (aa <= 0 || bb <= 0) return 0;
+  return dot / std::sqrt(aa * bb);
+}
+
 }  // namespace
 
 DiscoveryOracle::DiscoveryOracle(const DataLakeCatalog* catalog) {
@@ -38,6 +51,7 @@ DiscoveryOracle::DiscoveryOracle(const DataLakeCatalog* catalog) {
     if (values.size() < 2) return;
     refs_.push_back(ref);
     columns_.push_back(std::move(values));
+    is_string_.push_back(!col.IsNumeric());
   });
 }
 
@@ -122,6 +136,44 @@ double DiscoveryOracle::ContainmentOf(
   if (query.empty()) return 0;
   return static_cast<double>(CountIn(query, columns_[index], nullptr)) /
          static_cast<double>(query.size());
+}
+
+std::vector<ColumnResult> DiscoveryOracle::TopKByFuzzyJoin(
+    const std::vector<std::string>& query_values, const WordEmbedding& words,
+    double tau, size_t k, Stats* stats) const {
+  Stats local;
+  std::vector<std::vector<float>> query;
+  for (const std::string& v : NormalizedSet(query_values)) {
+    query.push_back(words.EmbedText(v));
+  }
+  TopK<size_t> top(k);
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    if (!is_string_[i]) continue;
+    ++local.candidates_checked;
+    std::vector<std::vector<float>> column;
+    for (const std::string& v : columns_[i]) {
+      column.push_back(words.EmbedText(v));
+    }
+    size_t matched = 0;
+    for (const std::vector<float>& q : query) {
+      for (const std::vector<float>& c : column) {
+        ++local.probes;
+        if (Cosine(q, c) >= tau) {
+          ++matched;
+          break;
+        }
+      }
+    }
+    if (matched == 0) continue;
+    top.Push(static_cast<double>(matched) / static_cast<double>(query.size()),
+             i);
+  }
+  std::vector<ColumnResult> results;
+  for (auto& [score, index] : top.Take()) {
+    results.push_back(ColumnResult{refs_[index], score, "oracle fuzzy join"});
+  }
+  if (stats != nullptr) *stats = local;
+  return results;
 }
 
 }  // namespace lake::approx

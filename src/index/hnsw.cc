@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <queue>
-#include <unordered_set>
 
 #include "util/serialize.h"
 #include "util/string_util.h"
@@ -24,6 +23,31 @@ double HnswIndex::Distance(const Vector& a, const Vector& b) const {
   return L2DistanceSquared(a, b);
 }
 
+namespace {
+
+/// Visited marks for SearchLayer: node i was visited in the current call
+/// when tags[i] == epoch. Bumping the epoch clears every mark at once; the
+/// array is zeroed only when the epoch wraps. One per thread, because
+/// Search is const and runs on many threads at once; every index a thread
+/// searches shares it, which is safe because calls do not nest.
+struct VisitedScratch {
+  std::vector<uint32_t> tags;
+  uint32_t epoch = 0;
+
+  uint32_t Begin(size_t num_nodes) {
+    if (tags.size() < num_nodes) tags.resize(num_nodes, 0);
+    if (++epoch == 0) {
+      std::fill(tags.begin(), tags.end(), 0);
+      epoch = 1;
+    }
+    return epoch;
+  }
+};
+
+thread_local VisitedScratch visited_scratch;
+
+}  // namespace
+
 std::vector<std::pair<double, uint32_t>> HnswIndex::SearchLayer(
     const Vector& query, uint32_t entry, size_t ef, int layer) const {
   // Min-heap of candidates to expand; max-heap of current best ef results.
@@ -31,19 +55,21 @@ std::vector<std::pair<double, uint32_t>> HnswIndex::SearchLayer(
   std::priority_queue<DistNode, std::vector<DistNode>, std::greater<>>
       candidates;
   std::priority_queue<DistNode> best;
-  std::unordered_set<uint32_t> visited;
+  std::vector<uint32_t>& visited = visited_scratch.tags;
+  const uint32_t epoch = visited_scratch.Begin(nodes_.size());
 
   const double d0 = Distance(query, nodes_[entry].vec);
   candidates.emplace(d0, entry);
   best.emplace(d0, entry);
-  visited.insert(entry);
+  visited[entry] = epoch;
 
   while (!candidates.empty()) {
     const auto [dist, node] = candidates.top();
     candidates.pop();
     if (dist > best.top().first && best.size() >= ef) break;
     for (uint32_t nb : nodes_[node].links[layer]) {
-      if (!visited.insert(nb).second) continue;
+      if (visited[nb] == epoch) continue;
+      visited[nb] = epoch;
       const double d = Distance(query, nodes_[nb].vec);
       if (best.size() < ef || d < best.top().first) {
         candidates.emplace(d, nb);
@@ -63,6 +89,26 @@ std::vector<std::pair<double, uint32_t>> HnswIndex::SearchLayer(
   return out;
 }
 
+uint32_t HnswIndex::GreedyDescend(const Vector& query, int bottom) const {
+  uint32_t entry = entry_point_;
+  for (int l = max_level_; l > bottom; --l) {
+    bool improved = true;
+    double cur = Distance(query, nodes_[entry].vec);
+    while (improved) {
+      improved = false;
+      for (uint32_t nb : nodes_[entry].links[l]) {
+        const double d = Distance(query, nodes_[nb].vec);
+        if (d < cur) {
+          cur = d;
+          entry = nb;
+          improved = true;
+        }
+      }
+    }
+  }
+  return entry;
+}
+
 std::vector<uint32_t> HnswIndex::SelectNeighbors(
     std::vector<std::pair<double, uint32_t>> candidates,
     size_t m) const {
@@ -71,9 +117,9 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
   selected.reserve(m);
   // Diversity heuristic: keep a candidate only if it is closer to the base
   // than to every already-selected neighbor, so links span directions
-  // instead of clustering. Fill remaining slots with discarded candidates
-  // (keepPrunedConnections) to preserve connectivity.
-  std::vector<std::pair<double, uint32_t>> discarded;
+  // instead of clustering. Pruned candidates are not added back
+  // (keepPrunedConnections, off by default in the paper), so a node keeps
+  // fewer than m links where its neighborhood is redundant.
   for (const auto& [dist, cand] : candidates) {
     if (selected.size() >= m) break;
     bool good = true;
@@ -84,11 +130,6 @@ std::vector<uint32_t> HnswIndex::SelectNeighbors(
       }
     }
     if (good) selected.push_back(cand);
-    else discarded.push_back({dist, cand});
-  }
-  for (const auto& [dist, cand] : discarded) {
-    if (selected.size() >= m) break;
-    selected.push_back(cand);
   }
   return selected;
 }
@@ -117,23 +158,8 @@ Status HnswIndex::Insert(uint64_t id, Vector vec) {
     return Status::OK();
   }
 
-  uint32_t entry = entry_point_;
   // Greedy descent through layers above the new node's level.
-  for (int l = max_level_; l > level; --l) {
-    bool improved = true;
-    double cur = Distance(nodes_[idx].vec, nodes_[entry].vec);
-    while (improved) {
-      improved = false;
-      for (uint32_t nb : nodes_[entry].links[l]) {
-        const double d = Distance(nodes_[idx].vec, nodes_[nb].vec);
-        if (d < cur) {
-          cur = d;
-          entry = nb;
-          improved = true;
-        }
-      }
-    }
-  }
+  uint32_t entry = GreedyDescend(nodes_[idx].vec, level);
 
   // Connect on layers min(level, max_level_) .. 0.
   for (int l = std::min(level, max_level_); l >= 0; --l) {
@@ -172,23 +198,7 @@ Result<std::vector<VectorHit>> HnswIndex::Search(const Vector& query, size_t k,
   Vector q = query;
   if (options_.metric == VectorMetric::kCosine) NormalizeInPlace(q);
 
-  uint32_t entry = entry_point_;
-  for (int l = max_level_; l > 0; --l) {
-    bool improved = true;
-    double cur = Distance(q, nodes_[entry].vec);
-    while (improved) {
-      improved = false;
-      for (uint32_t nb : nodes_[entry].links[l]) {
-        const double d = Distance(q, nodes_[nb].vec);
-        if (d < cur) {
-          cur = d;
-          entry = nb;
-          improved = true;
-        }
-      }
-    }
-  }
-
+  const uint32_t entry = GreedyDescend(q, 0);
   const size_t ef = std::max(ef_search, k);
   auto near = SearchLayer(q, entry, ef, 0);
   std::vector<VectorHit> hits;
@@ -282,6 +292,21 @@ Status HnswIndex::Load(std::istream* in) {
   }
   if (count > 0 && fresh.entry_point_ >= count) {
     return Status::IoError("entry point out of range");
+  }
+  // Search reads layer l of every node it reaches on layer l: the entry
+  // point must span every layer, and a link on layer l must reach a node
+  // that has layer l.
+  if (count > 0 && fresh.nodes_[fresh.entry_point_].links.size() != levels) {
+    return Status::IoError("entry point does not span every layer");
+  }
+  for (const Node& node : fresh.nodes_) {
+    for (size_t l = 0; l < node.links.size(); ++l) {
+      for (uint32_t nb : node.links[l]) {
+        if (fresh.nodes_[nb].links.size() <= l) {
+          return Status::IoError("link to a node below its layer");
+        }
+      }
+    }
   }
   *this = std::move(fresh);
   return Status::OK();

@@ -28,10 +28,14 @@ struct VectorHit {
 /// 2020) — the graph ANN index Starmie uses for column-embedding search
 /// and the survey highlights for lake-scale vector indexing.
 ///
-/// Implements the full construction of the paper: exponentially-distributed
+/// Implements the construction of the paper: exponentially-distributed
 /// node levels, greedy descent through upper layers, beam search
 /// (SEARCH-LAYER) with efConstruction, and the diversity heuristic
 /// (Algorithm 4) for neighbor selection with bidirectional link repair.
+/// As in the paper's default, pruned candidates are not refilled up to the
+/// link cap (keepPrunedConnections off). SEARCH-LAYER marks visited nodes
+/// in a per-thread scratch array, so concurrent Search calls share nothing
+/// mutable.
 class HnswIndex {
  public:
   struct Options {
@@ -84,8 +88,14 @@ class HnswIndex {
   std::vector<std::pair<double, uint32_t>> SearchLayer(
       const Vector& query, uint32_t entry, size_t ef, int layer) const;
 
-  /// Algorithm-4 neighbor selection: greedily keeps candidates closer to
-  /// the base point than to any already-selected neighbor.
+  /// Greedy walk from the entry point down the layers above `bottom`,
+  /// moving to the closest neighbor until none is closer; returns the last
+  /// node reached.
+  uint32_t GreedyDescend(const Vector& query, int bottom) const;
+
+  /// Algorithm-4 neighbor selection: keeps, in ascending distance, up to m
+  /// candidates closer to the base point than to any already-selected
+  /// neighbor, and drops the rest.
   std::vector<uint32_t> SelectNeighbors(
       std::vector<std::pair<double, uint32_t>> candidates,
       size_t m) const;

@@ -1,5 +1,6 @@
 #include "search/join_pexeso.h"
 
+#include <unordered_map>
 #include <unordered_set>
 
 #include "text/normalizer.h"
@@ -19,23 +20,30 @@ PexesoJoinSearch::PexesoJoinSearch(const DataLakeCatalog* catalog,
                                       options.hnsw_m,
                                       options.hnsw_ef_construction,
                                       /*seed=*/99}) {
-  uint64_t next_id = 0;
+  std::unordered_map<std::string, uint32_t> value_ids;
   catalog_->ForEachColumn([&](const ColumnRef& ref, const Column& col) {
     if (col.IsNumeric()) return;  // fuzzy matching is a string phenomenon
     std::vector<std::string> values;
+    std::unordered_set<std::string> seen;
     for (const std::string& v : col.DistinctStrings()) {
       if (values.size() >= options_.max_values_per_column) break;
-      const std::string norm = NormalizeValue(v);
-      if (!norm.empty()) values.push_back(norm);
+      std::string norm = NormalizeValue(v);
+      if (!norm.empty() && seen.insert(norm).second) {
+        values.push_back(std::move(norm));
+      }
     }
     if (values.size() < options_.min_distinct) return;
     const uint32_t col_idx = static_cast<uint32_t>(refs_.size());
     refs_.push_back(ref);
-    column_value_counts_.push_back(values.size());
-    for (const std::string& v : values) {
-      const uint64_t id = next_id++;
-      value_to_column_[id] = col_idx;
-      LAKE_CHECK(value_index_.Insert(id, words_->EmbedText(v)).ok());
+    for (std::string& v : values) {
+      const auto [it, added] = value_ids.try_emplace(
+          std::move(v), static_cast<uint32_t>(value_columns_.size()));
+      if (added) {
+        value_columns_.emplace_back();
+        LAKE_CHECK(
+            value_index_.Insert(it->second, words_->EmbedText(it->first)).ok());
+      }
+      value_columns_[it->second].push_back(col_idx);
     }
   });
 }
@@ -66,7 +74,8 @@ Result<std::vector<ColumnResult>> PexesoJoinSearch::Search(
     std::unordered_set<uint32_t> cols_this_value;
     for (const VectorHit& h : hits) {
       if (h.score < options_.tau) continue;
-      cols_this_value.insert(value_to_column_.at(h.id));
+      const std::vector<uint32_t>& cols = value_columns_[h.id];
+      cols_this_value.insert(cols.begin(), cols.end());
     }
     for (uint32_t c : cols_this_value) ++matches[c];
   }

@@ -2,7 +2,6 @@
 #define LAKE_SEARCH_JOIN_PEXESO_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "embed/word_embedding.h"
@@ -26,7 +25,7 @@ class PexesoJoinSearch {
     double tau = 0.8;
     /// Neighbors fetched per query value from the ANN index.
     size_t neighbors_per_value = 24;
-    /// Distinct values embedded per column (deterministic prefix).
+    /// Distinct normalized values taken per column (deterministic prefix).
     size_t max_values_per_column = 200;
     size_t min_distinct = 2;
     /// HNSW parameters for the global value index.
@@ -53,10 +52,10 @@ class PexesoJoinSearch {
   const WordEmbedding* words_;
   Options options_;
   std::vector<ColumnRef> refs_;
-  std::vector<size_t> column_value_counts_;
   HnswIndex value_index_;
-  // ANN ids encode (column, value ordinal); this maps id -> column index.
-  std::unordered_map<uint64_t, uint32_t> value_to_column_;
+  // The ANN id of a value is its index here; each entry lists the indexed
+  // columns (into refs_) that hold the value, in ascending order.
+  std::vector<std::vector<uint32_t>> value_columns_;
 };
 
 }  // namespace lake

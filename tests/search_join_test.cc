@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <unordered_set>
 
+#include "approx/oracle.h"
 #include "lakegen/benchmark_lakes.h"
 #include "search/join_containment.h"
 #include "search/join_correlated.h"
@@ -12,6 +14,7 @@
 #include "search/join_mate.h"
 #include "search/join_pexeso.h"
 #include "util/logging.h"
+#include "util/random.h"
 
 namespace lake {
 namespace {
@@ -184,6 +187,83 @@ TEST(PexesoJoinTest, EmptyQuery) {
   PexesoJoinSearch search(&cat, &words);
   EXPECT_TRUE(search.Search({}, 3).value().empty());
   EXPECT_TRUE(search.Search({"", "  "}, 3).value().empty());
+}
+
+TEST(PexesoJoinTest, ValueSharedByMoreColumnsThanNeighborsMatchesAll) {
+  // One value held by more columns than the neighbors fetched per query
+  // value (24): it is indexed once, so every holder matches.
+  DataLakeCatalog cat;
+  for (int i = 0; i < 30; ++i) {
+    Table t(std::string("t") + std::to_string(i));
+    LAKE_CHECK(t.AddColumn(MakeColumn(
+        "name", {"kelovania", std::string("filler") + std::to_string(i)}))
+                   .ok());
+    LAKE_CHECK(cat.AddTable(std::move(t)).ok());
+  }
+  WordEmbedding words;
+  PexesoJoinSearch search(&cat, &words);
+  EXPECT_EQ(search.num_indexed_values(), 31u);
+  const auto hits = search.Search({"kelovania"}, 40).value();
+  EXPECT_EQ(hits.size(), 30u);
+  for (const ColumnResult& h : hits) EXPECT_DOUBLE_EQ(h.score, 1.0);
+}
+
+TEST(PexesoJoinTest, RecallAgainstBruteForceReference) {
+  // A lake shaped like the benchmark's discover_mixed workload (union
+  // benchmark options, 36 tables) and join queries drawn as it draws them:
+  // 8-40 distinct values of a random string column.
+  const GeneratedLake lake = MakeUnionBenchmarkLake(7, 4, 12);
+  ASSERT_EQ(lake.catalog.num_tables(), 36u);
+  WordEmbedding words;
+  const PexesoJoinSearch::Options opts;
+  PexesoJoinSearch pexeso(&lake.catalog, &words, opts);
+  const approx::DiscoveryOracle oracle(&lake.catalog);
+  std::vector<ColumnRef> string_cols;
+  lake.catalog.ForEachColumn([&](const ColumnRef& ref, const Column& col) {
+    if (!col.IsNumeric()) string_cols.push_back(ref);
+  });
+
+  const size_t k = 10;
+  const int queries = 24;
+  Rng rng(2023);
+  double recall_sum = 0;
+  for (int q = 0; q < queries; ++q) {
+    std::vector<std::string> values =
+        lake.catalog.column(string_cols[rng.NextBounded(string_cols.size())])
+            .DistinctStrings();
+    rng.Shuffle(values);
+    values.resize(std::min<size_t>(values.size(), 8 + rng.NextBounded(33)));
+
+    const std::vector<ColumnResult> exact = oracle.TopKByFuzzyJoin(
+        values, words, opts.tau, oracle.num_indexed_columns());
+    std::map<std::pair<TableId, uint32_t>, double> truth;
+    for (const ColumnResult& r : exact) {
+      truth[{r.column.table_id, r.column.column_index}] = r.score;
+    }
+    const std::vector<ColumnResult> got = pexeso.Search(values, k).value();
+    // Tie-aware recall@k: a returned column counts when its true score
+    // reaches the exact k-th score.
+    const size_t want = std::min(k, exact.size());
+    if (want == 0) {
+      recall_sum += 1.0;
+      continue;
+    }
+    const double kth = exact[want - 1].score;
+    size_t found = 0;
+    for (const ColumnResult& h : got) {
+      const auto it = truth.find({h.column.table_id, h.column.column_index});
+      const double true_score = it == truth.end() ? 0.0 : it->second;
+      // The index can only miss matches, never invent one.
+      EXPECT_LE(h.score, true_score + 1e-9);
+      if (found < want && true_score >= kth - 1e-9) ++found;
+    }
+    recall_sum += static_cast<double>(found) / static_cast<double>(want);
+  }
+  // An index of one vector per (column, value), whose link lists were
+  // refilled up to the cap, also reached 1.0 on these queries.
+  const double recall = recall_sum / queries;
+  RecordProperty("recall_at_10", std::to_string(recall));
+  EXPECT_GE(recall, 1.0 - 1e-9);
 }
 
 // --- MATE -------------------------------------------------------------------

@@ -84,11 +84,13 @@ TEST(ResultTest, AssignOrReturnPropagates) {
 
 TEST(HashTest, DeterministicAcrossCalls) {
   EXPECT_EQ(Hash64("hello"), Hash64("hello"));
-  EXPECT_EQ(Hash64("hello", 7), Hash64("hello", 7));
+  EXPECT_EQ(Hash64(std::string_view("hello"), 7),
+            Hash64(std::string_view("hello"), 7));
 }
 
 TEST(HashTest, SeedChangesValue) {
-  EXPECT_NE(Hash64("hello", 1), Hash64("hello", 2));
+  EXPECT_NE(Hash64(std::string_view("hello"), 1),
+            Hash64(std::string_view("hello"), 2));
 }
 
 TEST(HashTest, DifferentInputsRarelyCollide) {
